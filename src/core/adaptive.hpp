@@ -8,19 +8,15 @@
 // callers can reason about amortization ("the 1–3 iterations of overhead
 // is negligible compared to the time the better formats help save").
 //
-// Prediction is memoized through the serve-layer structural-fingerprint
-// cache: constructing repeatedly from the same (or structurally identical)
-// matrix skips CNN inference after the first time, paying only the O(nnz)
-// fingerprint pass. By default a process-wide cache is used, keyed by
-// (selector identity, fingerprint); pass an explicit PredictionCache to
-// scope the memoization (e.g. per tenant), or nullptr to disable it.
+// Prediction can be memoized through a caller-owned serve-layer
+// structural-fingerprint cache: constructing repeatedly from the same (or
+// structurally identical) matrix then skips CNN inference after the first
+// time, paying only the O(nnz) fingerprint pass. The cache's owner scopes
+// it (per model, per tenant); entries are keyed by fingerprint and the
+// selector's address, so a cache must not outlive the selectors it serves.
 #pragma once
 
-#include <memory>
-#include <optional>
-
 #include "core/selector.hpp"
-#include "serve/feedback.hpp"
 #include "serve/lru_cache.hpp"
 #include "sparse/spmv.hpp"
 
@@ -28,24 +24,10 @@ namespace dnnspmv {
 
 class AdaptiveSpmv {
  public:
-  /// Predicts with `selector` (through the shared prediction cache),
-  /// converts, and owns the stored matrix.
-  AdaptiveSpmv(const FormatSelector& selector, const Csr& matrix);
-
-  /// Same, against a caller-owned cache; nullptr disables memoization.
+  /// Predicts with `selector`, converts, and owns the stored matrix. The
+  /// prediction is memoized through `cache` when one is given.
   AdaptiveSpmv(const FormatSelector& selector, const Csr& matrix,
-               PredictionCache* cache);
-
-  /// Same, and closes the online-learning loop: when `feedback` is
-  /// non-null and its sampling gate admits this matrix, the FIRST apply()
-  /// additionally measures SpMV across all candidate formats and
-  /// publishes (fingerprint, representation, measured times) to the
-  /// stream — ground-truth labels from exactly the traffic this operator
-  /// serves. The probe runs once per AdaptiveSpmv (a retained matrix copy
-  /// is released afterwards); unsampled instances pay one atomic
-  /// increment at construction and nothing per apply.
-  AdaptiveSpmv(const FormatSelector& selector, const Csr& matrix,
-               PredictionCache* cache, FeedbackCollector* feedback);
+               PredictionCache* cache = nullptr);
 
   /// No prediction: stores the matrix in `format` (CSR fallback applies).
   AdaptiveSpmv(const Csr& matrix, Format format);
@@ -71,16 +53,7 @@ class AdaptiveSpmv {
   double prediction_seconds() const { return prediction_seconds_; }
   double conversion_seconds() const { return conversion_seconds_; }
 
-  /// The process-wide prediction cache the two-argument constructor uses.
-  /// Entries are keyed by selector identity (address) + fingerprint; a
-  /// stale entry after a selector is destroyed and another allocated at
-  /// the same address can only mis-pick a *format* (a performance, never a
-  /// correctness, concern — every format computes the same product).
-  static PredictionCache& shared_prediction_cache();
-
  private:
-  struct Probe;  // deferred first-apply feedback probe (defined in .cpp)
-
   static AnyFormatMatrix convert_or_csr(const Csr& matrix, Format format,
                                         bool& fell_back);
 
@@ -89,7 +62,6 @@ class AdaptiveSpmv {
   bool cache_hit_ = false;
   double prediction_seconds_ = 0.0;
   double conversion_seconds_ = 0.0;
-  std::shared_ptr<Probe> probe_;  // null unless sampled for feedback
 };
 
 }  // namespace dnnspmv

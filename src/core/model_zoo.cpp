@@ -35,14 +35,24 @@ std::int64_t build_tower(Sequential& tower, std::int64_t ch, std::int64_t h,
   return out[1] * out[2] * out[3];
 }
 
+void build_head(Sequential& head, std::int64_t feat, const CnnSpec& spec,
+                Rng& rng) {
+  head.emplace<Dense>(feat, spec.head_hidden, rng);
+  head.emplace<ReLU>();
+  if (spec.dropout > 0.0)
+    head.emplace<Dropout>(spec.dropout, rng.next_u64());
+  head.emplace<Dense>(spec.head_hidden, spec.num_classes, rng);
+}
+
 }  // namespace
 
 int num_net_inputs(const CnnSpec& spec) {
   return spec.late_merge ? static_cast<int>(spec.input_hw.size()) : 1;
 }
 
-MergeNet build_cnn(const CnnSpec& spec) {
-  DNNSPMV_CHECK(!spec.input_hw.empty() && spec.num_classes >= 2);
+MergeNet build_cnn(const CnnSpec& spec, std::size_t num_heads) {
+  DNNSPMV_CHECK(!spec.input_hw.empty() && spec.num_classes >= 2 &&
+                num_heads >= 1);
   Rng rng(spec.seed);
   MergeNet net;
   std::int64_t feat = 0;
@@ -61,11 +71,9 @@ MergeNet build_cnn(const CnnSpec& spec) {
                        spec.input_hw[0][0], spec.input_hw[0][1], spec, rng);
     tower.emplace<Flatten>();
   }
-  net.head().emplace<Dense>(feat, spec.head_hidden, rng);
-  net.head().emplace<ReLU>();
-  if (spec.dropout > 0.0)
-    net.head().emplace<Dropout>(spec.dropout, rng.next_u64());
-  net.head().emplace<Dense>(spec.head_hidden, spec.num_classes, rng);
+  build_head(net.head(), feat, spec, rng);
+  for (std::size_t h = 1; h < num_heads; ++h)
+    build_head(net.add_head(), feat, spec, rng);
   return net;
 }
 

@@ -36,9 +36,11 @@ struct CnnSpec {
   std::uint64_t seed = 7;
 };
 
-/// Builds the network. For early merge the single tower takes
-/// input_hw.size() channels.
-MergeNet build_cnn(const CnnSpec& spec);
+/// Builds the network with `num_heads` identical heads over the towers.
+/// For early merge the single tower takes input_hw.size() channels. Extra
+/// heads draw their initial weights after head 0, so head 0 initializes the
+/// same whatever `num_heads` is.
+MergeNet build_cnn(const CnnSpec& spec, std::size_t num_heads = 1);
 
 /// Number of sources the built network's forward() expects (towers).
 int num_net_inputs(const CnnSpec& spec);

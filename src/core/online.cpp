@@ -5,6 +5,7 @@
 #include <cmath>
 #include <utility>
 
+#include "core/transfer.hpp"
 #include "perf/labels.hpp"
 
 namespace dnnspmv {
@@ -109,10 +110,10 @@ bool OnlineTrainer::train_once() {
 
   const Dataset ds = make_dataset();
   // migrate() builds a fresh network (the published version is immutable);
-  // top evolvement freezes the towers and retrains the head on the
+  // top evolvement freezes the towers and retrains the SpMV head on the
   // measured labels — paper §6, pointed at served traffic.
-  FormatSelector next =
-      registry_.current()->migrate(opts_.method, ds, opts_.train);
+  FormatSelector next = registry_.current()->migrate(
+      MigrationMethod::kTopEvolve, ds, opts_.train);
   registry_.publish(std::move(next));
   published_n_.fetch_add(1, std::memory_order_relaxed);
   published_counter_.inc();

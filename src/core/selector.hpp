@@ -3,8 +3,10 @@
 // Wraps the full pipeline of paper Figure 3: given matrices labelled on a
 // platform (collect_labels), it normalizes them (RepMode), builds the
 // late-merging CNN, trains it, and then predicts the best SpMV format for
-// unseen matrices. Models persist to a single file and can be migrated to
-// another platform with migrate() (paper §6).
+// unseen matrices. One net answers both ops: its conv towers are shared,
+// and an optional SpMM head sits beside the SpMV head (fit_spmm). Models
+// persist to a single file and can be migrated to another platform with
+// migrate() (paper §6).
 #pragma once
 
 #include <memory>
@@ -34,9 +36,8 @@ struct SelectorOptions {
   // Post-training int8 quantization of the inference path (DESIGN.md §13):
   // fit() calibrates on the training slice and predictions run the int8
   // kernels; migrate() re-calibrates on the target dataset, so online
-  // publishes stay quantized. Rides save/load (v2 weight-set format) and
-  // clone(), and is validated by ModelRegistry::publish like the rep
-  // geometry.
+  // publishes stay quantized. Rides save/load and clone(), and is
+  // validated by ModelRegistry::publish like the rep geometry.
   bool quantize = false;
   // Representation tensors are normalized and bounded (no outlier tail),
   // so exact-range calibration beats percentile clipping here — it keeps
@@ -62,7 +63,8 @@ class FormatSelector {
  public:
   explicit FormatSelector(SelectorOptions opts = {});
 
-  /// Full pipeline: normalize + build CNN + train.
+  /// Full pipeline: normalize + build CNN + train. Builds a fresh net, so
+  /// any SpMM head is dropped.
   void fit(const std::vector<LabeledMatrix>& labeled,
            std::vector<Format> candidates);
 
@@ -71,9 +73,14 @@ class FormatSelector {
 
   /// Trains the optional SpMM head on SpMM-measured labels (same candidate
   /// set and representation geometry; only the label distribution differs).
-  /// Requires fit() first: the SpMV head defines candidates and geometry,
-  /// the SpMM head rides along through clone/save/migrate/quantize. After
-  /// this, predict*(a, SpOp::kSpmm) routes through the new head.
+  /// By top evolvement (paper §6, migrate_model): the head starts from fresh
+  /// weights and trains over the frozen towers for twice fit()'s epochs, so
+  /// the towers, the SpMV head and every SpMV pick stay as they were; a
+  /// second call fine-tunes the existing SpMM head. On a quantized selector
+  /// only the SpMM head is calibrated, on the SpMM training slice. Requires
+  /// fit() first, and a later fit() drops the head again; clone, save/load,
+  /// quantize and top-evolvement migrate keep it. After this,
+  /// predict*(a, SpOp::kSpmm) routes through the new head.
   void fit_spmm(const std::vector<LabeledMatrix>& labeled);
   void fit_spmm(const Dataset& train);
 
@@ -89,7 +96,7 @@ class FormatSelector {
   /// backward), so inference is internally serialized on a per-selector
   /// mutex; representation-building (prepare_inputs) runs outside the lock
   /// and scales with the callers. Concurrent prediction must not overlap
-  /// with fit()/migrate() on the same object.
+  /// with fit()/fit_spmm()/migrate() on the same object.
   Format predict(const Csr& a, SpOp op = SpOp::kSpmv) const;
 
   /// Index into candidates() instead of the Format enum.
@@ -133,11 +140,11 @@ class FormatSelector {
   MergeNet& net();
 
   /// Calibrates on `calib` (observer pass over its samples) and converts
-  /// the net to int8 inference. Subsequent predictions run the quantized
-  /// kernels; the fp32 weights stay untouched (training/migration still
-  /// works). Called automatically by fit()/migrate() when
-  /// SelectorOptions::quantize is set; public so an already-trained
-  /// selector can be quantized after the fact.
+  /// the whole net, towers and every head, to int8 inference. Subsequent
+  /// predictions run the quantized kernels; the fp32 weights stay
+  /// untouched (training/migration still works). Called automatically by
+  /// fit()/migrate() when SelectorOptions::quantize is set; public so an
+  /// already-trained selector can be quantized after the fact.
   void quantize(const Dataset& calib);
   bool quantized() const { return qws_ != nullptr; }
 
@@ -158,17 +165,21 @@ class FormatSelector {
   /// ReplicaRouter. O(#params); no retraining.
   FormatSelector clone() const;
 
-  /// Migrates this selector's model to a new platform's labels.
+  /// Migrates this selector's model to a new platform's SpMV labels. Top
+  /// evolvement carries the SpMM head unchanged, because the towers it
+  /// reads stay frozen; the other methods retrain the towers and throw
+  /// errc::invalid_argument on a selector with an SpMM head.
   FormatSelector migrate(MigrationMethod method, const Dataset& target_train,
                          const TrainConfig& cfg) const;
 
+  /// One file format. load() rejects any other file, including earlier
+  /// layouts, with errc::data_error.
   void save(const std::string& path) const;
   static FormatSelector load(const std::string& path);
 
  private:
   CnnSpec make_spec() const;
   std::vector<std::vector<Tensor>> calib_batches(const Dataset& calib) const;
-  void quantize_spmm(const Dataset& calib);
 
   friend class ModelRegistry;  // stamps model_version_ at publish time
 
@@ -176,19 +187,14 @@ class FormatSelector {
   StreamingRepBuilder rep_builder_;  // derived from opts_; keep adjacent
   std::vector<Format> candidates_;
   std::uint64_t model_version_ = 0;
+  // Shared towers plus one head per supported op, indexed by SpOp.
   std::unique_ptr<MergeNet> net_;  // unique_ptr: MergeNet is move-averse
-  // Optional SpMM head: same architecture over the same representations,
-  // trained on SpMM-measured labels. Shares the inference mutex (forward
-  // scratch is per-net, but keeping one lock keeps the serve worker model
-  // simple — at most one forward in flight per selector either way).
-  std::unique_ptr<MergeNet> spmm_net_;
   // Int8 inference state: the serializable weight set and the compiled
-  // executor over net_. Both null on fp32 selectors; rebuilt (never
-  // shared) on clone so every inference lane owns its scratch.
+  // executor over net_, covering every head. Both null on fp32 selectors;
+  // rebuilt (never shared) on clone so every inference lane owns its
+  // scratch.
   std::unique_ptr<QuantizedWeightSet> qws_;
   std::unique_ptr<QuantizedMergeNet> qnet_;
-  std::unique_ptr<QuantizedWeightSet> spmm_qws_;
-  std::unique_ptr<QuantizedMergeNet> spmm_qnet_;
   // Serializes forward passes (MergeNet scratch is not re-entrant); in a
   // unique_ptr so the selector stays movable.
   std::unique_ptr<std::mutex> infer_mu_ = std::make_unique<std::mutex>();

@@ -84,7 +84,7 @@ std::vector<Tensor> assemble_batch(const Dataset& data,
 }
 
 TrainHistory train_cnn(MergeNet& net, const Dataset& data, int net_inputs,
-                       const TrainConfig& cfg) {
+                       const TrainConfig& cfg, std::size_t head) {
   DNNSPMV_CHECK(!data.samples.empty());
   TrainHistory hist;
   Adam opt(net.params(), cfg.lr);
@@ -118,7 +118,7 @@ TrainHistory train_cnn(MergeNet& net, const Dataset& data, int net_inputs,
         labels.push_back(data.samples[static_cast<std::size_t>(i)].label);
 
       Tensor logits;
-      net.forward(inputs, logits, /*training=*/true, ws);
+      net.forward(inputs, logits, /*training=*/true, ws, head);
       Tensor grad;
       const double loss = softmax_cross_entropy(logits, labels, grad);
       net.backward(inputs, grad, ws);

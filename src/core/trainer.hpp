@@ -29,9 +29,11 @@ std::vector<Tensor> assemble_batch(const Dataset& data,
                                    const std::vector<std::int32_t>& idx,
                                    int net_inputs);
 
-/// Trains in place with Adam; respects frozen parameters.
+/// Trains in place with Adam through head `head`; respects frozen
+/// parameters.
 TrainHistory train_cnn(MergeNet& net, const Dataset& data,
-                       int net_inputs, const TrainConfig& cfg);
+                       int net_inputs, const TrainConfig& cfg,
+                       std::size_t head = 0);
 
 /// Argmax predictions for every sample. `ws` optionally supplies the
 /// scratch workspace for the forward passes (serve workers pass a

@@ -24,12 +24,16 @@ enum class MigrationMethod : std::int32_t {
 
 std::string migration_method_name(MigrationMethod m);
 
-/// Builds a model for the target platform with `method`, training on
-/// `target_train` (labels collected on the target machine).
+/// Builds a model for the target platform with `method`, training head
+/// `head` on `target_train` (labels collected on the target machine).
 /// `source_model` supplies the warm-start weights for the evolvement
-/// methods and is ignored for from-scratch.
+/// methods and is ignored for from-scratch. `head` may be one past the
+/// source's last head: that head is appended with fresh weights. Other
+/// heads of a multi-head net carry over unchanged, which is only valid while
+/// the towers they read stay frozen: any method but top evolvement on such
+/// a net throws errc::invalid_argument.
 MergeNet migrate_model(const CnnSpec& spec, MergeNet& source_model,
                        MigrationMethod method, const Dataset& target_train,
-                       const TrainConfig& cfg);
+                       const TrainConfig& cfg, std::size_t head = 0);
 
 }  // namespace dnnspmv

@@ -25,9 +25,16 @@ obs::Histogram& backward_hist() {
 
 }  // namespace
 
+MergeNet::MergeNet() { add_head(); }
+
 Sequential& MergeNet::add_tower() {
   towers_.push_back(std::make_unique<Sequential>());
   return *towers_.back();
+}
+
+Sequential& MergeNet::add_head() {
+  heads_.push_back(std::make_unique<Sequential>());
+  return *heads_.back();
 }
 
 void MergeNet::flatten_tower_outputs(Tensor& merged) {
@@ -52,21 +59,24 @@ void MergeNet::flatten_tower_outputs(Tensor& merged) {
 }
 
 void MergeNet::forward(const std::vector<Tensor>& inputs, Tensor& logits,
-                       bool training) {
-  forward(inputs, logits, training, ws_);
+                       bool training, std::size_t head) {
+  forward(inputs, logits, training, ws_, head);
 }
 
 void MergeNet::forward(const std::vector<Tensor>& inputs, Tensor& logits,
-                       bool training, Workspace& ws) {
+                       bool training, Workspace& ws, std::size_t head) {
   obs::Span span("nn.forward", &forward_hist());
   DNNSPMV_CHECK_MSG(inputs.size() == towers_.size(),
                     "expected " << towers_.size() << " inputs, got "
                                 << inputs.size());
+  DNNSPMV_CHECK_MSG(head < heads_.size(),
+                    "head " << head << " of " << heads_.size());
   tower_out_.resize(towers_.size());
   for (std::size_t t = 0; t < towers_.size(); ++t)
     towers_[t]->forward(inputs[t], tower_out_[t], training, ws);
   flatten_tower_outputs(merged_);
-  head_.forward(merged_, head_out_, training, ws);
+  head_run_ = head;
+  heads_[head]->forward(merged_, head_out_, training, ws);
   logits = head_out_;
 }
 
@@ -79,7 +89,11 @@ void MergeNet::backward(const std::vector<Tensor>& inputs,
                         const Tensor& grad_logits, Workspace& ws) {
   obs::Span span("nn.backward", &backward_hist());
   Tensor grad_merged;
-  head_.backward(merged_, head_out_, grad_logits, grad_merged, ws);
+  heads_[head_run_]->backward(merged_, head_out_, grad_logits, grad_merged,
+                              ws);
+  // Frozen towers take no optimizer step and their input gradient is
+  // unused, so top evolvement pays only for the head's backward pass.
+  if (towers_frozen()) return;
 
   const std::int64_t batch = merged_.dim(0);
   const std::int64_t total = merged_.dim(1);
@@ -100,18 +114,28 @@ std::vector<Param*> MergeNet::params() {
   std::vector<Param*> ps;
   for (auto& t : towers_)
     for (Param* p : t->params()) ps.push_back(p);
-  for (Param* p : head_.params()) ps.push_back(p);
+  for (auto& h : heads_)
+    for (Param* p : h->params()) ps.push_back(p);
   return ps;
 }
 
-void MergeNet::freeze_towers() {
+void MergeNet::freeze_towers(std::size_t train_head) {
+  DNNSPMV_CHECK(train_head < heads_.size());
   for (auto& t : towers_) t->set_frozen(true);
-  head_.set_frozen(false);
+  for (std::size_t h = 0; h < heads_.size(); ++h)
+    heads_[h]->set_frozen(h != train_head);
+}
+
+bool MergeNet::towers_frozen() {
+  for (auto& t : towers_)
+    for (Param* p : t->params())
+      if (!p->frozen) return false;
+  return true;
 }
 
 void MergeNet::unfreeze_all() {
   for (auto& t : towers_) t->set_frozen(false);
-  head_.set_frozen(false);
+  for (auto& h : heads_) h->set_frozen(false);
 }
 
 void MergeNet::codes(const std::vector<Tensor>& inputs, Tensor& out) {

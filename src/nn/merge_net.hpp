@@ -1,17 +1,19 @@
 // Multi-tower networks for the paper's structure study (§5, Figures 6/7/10).
 //
-// MergeNet holds one convolutional tower per input source plus a fully
-// connected head. The towers' flattened outputs are concatenated and fed to
-// the head:
+// MergeNet holds one convolutional tower per input source plus one or more
+// fully connected heads. The towers' flattened outputs are concatenated and
+// fed to one head per forward pass:
 //
 //   * late-merging  — one tower per source (paper Figure 7/10);
 //   * early-merging — callers stack the sources as channels of a single
 //     input and use one tower (paper Figure 6).
 //
 // freeze_towers() implements the "top evolvement" transfer-learning mode:
-// the tower parameters are pinned and only the head retrains on the target
-// platform's labels (§6.2). The concatenated tower output is exactly what
-// the paper calls the "CNN codes" of a matrix.
+// the tower parameters are pinned and only one head retrains on the target
+// labels (§6.2). The concatenated tower output is exactly what the paper
+// calls the "CNN codes" of a matrix; because the codes carry over to a new
+// label distribution, extra heads over the same towers answer other label
+// sets (FormatSelector's SpMM head) without a second set of towers.
 //
 // Thread safety: forward()/backward()/codes() share mutable per-forward
 // scratch (tower_out_, merged_, head_out_ and the Sequential activation
@@ -29,36 +31,50 @@ namespace dnnspmv {
 
 class MergeNet {
  public:
-  MergeNet() = default;
+  /// A net starts with no towers and one empty head (head 0).
+  MergeNet();
 
   /// Adds a tower; towers are indexed by the order of addition and consume
   /// the matching entry of the forward() input vector.
   Sequential& add_tower();
 
-  /// The fully connected head applied to the concatenated tower outputs.
-  Sequential& head() { return head_; }
+  /// Adds a head over the same concatenated tower outputs; heads are
+  /// indexed by the order of addition, after head 0.
+  Sequential& add_head();
+
+  /// A fully connected head applied to the concatenated tower outputs.
+  Sequential& head(std::size_t i = 0) { return *heads_.at(i); }
 
   std::size_t num_towers() const { return towers_.size(); }
+  std::size_t num_heads() const { return heads_.size(); }
   Sequential& tower(std::size_t i) { return *towers_.at(i); }
 
-  /// Forward pass over a batch; inputs[i] feeds tower i. All inputs must
-  /// share the same batch dimension. Returns logits [batch, classes]. The
-  /// Workspace overloads let callers (trainer, serve workers) supply their
-  /// own scratch; the plain ones fall back to a net-owned workspace.
+  /// Forward pass over a batch through head `head`; inputs[i] feeds tower
+  /// i. All inputs must share the same batch dimension. Returns logits
+  /// [batch, classes]. The Workspace overloads let callers (trainer, serve
+  /// workers) supply their own scratch; the plain ones fall back to a
+  /// net-owned workspace.
   void forward(const std::vector<Tensor>& inputs, Tensor& logits,
-               bool training);
+               bool training, std::size_t head = 0);
   void forward(const std::vector<Tensor>& inputs, Tensor& logits,
-               bool training, Workspace& ws);
+               bool training, Workspace& ws, std::size_t head = 0);
 
-  /// Backward from logits gradient; parameter gradients accumulate.
+  /// Backward from logits gradient through the head the last forward ran;
+  /// parameter gradients accumulate. When every tower parameter is frozen,
+  /// only the head runs backward and the towers' gradients stay untouched.
   void backward(const std::vector<Tensor>& inputs, const Tensor& grad_logits);
   void backward(const std::vector<Tensor>& inputs, const Tensor& grad_logits,
                 Workspace& ws);
 
+  /// Towers in order, then heads in order.
   std::vector<Param*> params();
-  std::vector<Param*> head_params() { return head_.params(); }
+  std::vector<Param*> head_params(std::size_t i = 0) {
+    return head(i).params();
+  }
 
-  void freeze_towers();
+  /// Pins the towers and every head but `train_head`, which stays
+  /// trainable (top evolvement).
+  void freeze_towers(std::size_t train_head = 0);
   void unfreeze_all();
 
   /// The concatenated flattened tower outputs for a batch ("CNN codes").
@@ -67,13 +83,15 @@ class MergeNet {
 
  private:
   void flatten_tower_outputs(Tensor& merged);
+  bool towers_frozen();
 
   std::vector<std::unique_ptr<Sequential>> towers_;
-  Sequential head_;
+  std::vector<std::unique_ptr<Sequential>> heads_;
   // Cached per-forward state for backward.
   std::vector<Tensor> tower_out_;
   Tensor merged_;
   Tensor head_out_;
+  std::size_t head_run_ = 0;  // head of the last forward
   Workspace ws_;  // fallback scratch for the workspace-less overloads
 };
 

@@ -12,6 +12,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/dropout.hpp"
+#include "nn/serialize.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/pack.hpp"
 
@@ -19,17 +20,6 @@ namespace dnnspmv {
 namespace {
 
 constexpr std::uint32_t kQwsMagic = 0x31535751;  // "QWS1"
-
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-void read_pod(std::istream& is, T& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DNNSPMV_CHECK_MSG(is.good(), "truncated quantized weight set");
-}
 
 // Affine u7 parameters for an observed range. The range always includes 0
 // (so the zero-point is representable and padding dequantizes to exactly
@@ -193,10 +183,17 @@ void quantize_weights_per_channel(const float* w, std::int64_t rows,
 
 QuantizedWeightSet quantize_merge_net(
     MergeNet& net, const std::vector<std::vector<Tensor>>& calib,
-    const QuantConfig& cfg) {
+    const QuantConfig& cfg, std::optional<std::size_t> only_head) {
   DNNSPMV_CHECK_ERRC(!calib.empty(), errc::invalid_argument,
                      "quantize_merge_net needs a calibration set");
+  DNNSPMV_CHECK_ERRC(!only_head || *only_head < net.num_heads(),
+                     errc::invalid_argument,
+                     "no head " << *only_head << " to quantize");
   const std::int32_t ntowers = static_cast<std::int32_t>(net.num_towers());
+  const bool towers = !only_head;
+  const auto selected = [&](std::size_t h) {
+    return !only_head || *only_head == h;
+  };
 
   struct Obs {
     MinMaxObserver mm;
@@ -210,19 +207,20 @@ QuantizedWeightSet quantize_merge_net(
   };
 
   // Calibration walk: replicate MergeNet::forward layer by layer (towers →
-  // flatten-concat → head), observing each conv/dense input. Runs in
-  // inference mode so dropout and batchless layers behave as they will at
-  // serve time.
+  // flatten-concat → heads), observing each selected conv/dense input. Runs
+  // in inference mode so dropout and batchless layers behave as they will
+  // at serve time.
   Workspace ws;
   Tensor ping, pong, merged;
   std::vector<Tensor> touts(static_cast<std::size_t>(ntowers));
   std::int64_t walked = 0;
-  auto walk_seq = [&](Sequential& seq, std::int32_t seq_id, const Tensor& in,
-                      Tensor& out) {
+  auto walk_seq = [&](Sequential& seq, std::int32_t seq_id, bool observed,
+                      const Tensor& in, Tensor& out) {
     const Tensor* cur = &in;
     for (std::size_t li = 0; li < seq.num_layers(); ++li) {
       Layer& layer = seq.layer(li);
-      if (dynamic_cast<Conv2D*>(&layer) || dynamic_cast<Dense*>(&layer))
+      if (observed &&
+          (dynamic_cast<Conv2D*>(&layer) || dynamic_cast<Dense*>(&layer)))
         observe(seq_id, static_cast<std::int32_t>(li), *cur);
       Tensor& dst = (cur == &ping) ? pong : ping;
       layer.forward(*cur, dst, /*training=*/false, ws);
@@ -238,7 +236,7 @@ QuantizedWeightSet quantize_merge_net(
                                                 << ntowers << " towers");
     if (walked >= cfg.max_calib_samples) break;
     for (std::int32_t t = 0; t < ntowers; ++t)
-      walk_seq(net.tower(static_cast<std::size_t>(t)), t, batch[t],
+      walk_seq(net.tower(static_cast<std::size_t>(t)), t, towers, batch[t],
                touts[static_cast<std::size_t>(t)]);
     // Concatenate the flattened tower outputs exactly like
     // MergeNet::flatten_tower_outputs.
@@ -255,7 +253,9 @@ QuantizedWeightSet quantize_merge_net(
       off += f;
     }
     Tensor head_out;
-    walk_seq(net.head(), -1, merged, head_out);
+    for (std::size_t h = 0; h < net.num_heads(); ++h)
+      if (selected(h))
+        walk_seq(net.head(h), head_seq(h), true, merged, head_out);
     walked += nb;
   }
 
@@ -298,9 +298,11 @@ QuantizedWeightSet quantize_merge_net(
       qws.layers.push_back(std::move(ql));
     }
   };
-  for (std::int32_t t = 0; t < ntowers; ++t)
-    convert(net.tower(static_cast<std::size_t>(t)), t);
-  convert(net.head(), -1);
+  if (towers)
+    for (std::int32_t t = 0; t < ntowers; ++t)
+      convert(net.tower(static_cast<std::size_t>(t)), t);
+  for (std::size_t h = 0; h < net.num_heads(); ++h)
+    if (selected(h)) convert(net.head(h), head_seq(h));
   return qws;
 }
 
@@ -318,9 +320,12 @@ QuantizedMergeNet::QuantizedMergeNet(MergeNet& net,
     for (const Op& op : tower_plans_[t])
       used += op.kind != Op::Kind::kLayer ? 1 : 0;
   }
-  compile(net.head(), -1, qws, head_plan_);
-  for (const Op& op : head_plan_)
-    used += op.kind != Op::Kind::kLayer ? 1 : 0;
+  head_plans_.resize(net.num_heads());
+  for (std::size_t h = 0; h < net.num_heads(); ++h) {
+    compile(net.head(h), head_seq(h), qws, head_plans_[h]);
+    for (const Op& op : head_plans_[h])
+      used += op.kind != Op::Kind::kLayer ? 1 : 0;
+  }
   DNNSPMV_CHECK_ERRC(used == qws.layers.size(), errc::data_error,
                      "quantized weight set has " << qws.layers.size()
                                                  << " layers, net consumed "
@@ -470,11 +475,13 @@ void QuantizedMergeNet::run(std::vector<Op>& plan, const Tensor& in,
 }
 
 void QuantizedMergeNet::forward(const std::vector<Tensor>& inputs,
-                                Tensor& logits) {
+                                Tensor& logits, std::size_t head) {
   DNNSPMV_CHECK_ERRC(inputs.size() == tower_plans_.size(),
                      errc::invalid_argument,
                      "expected " << tower_plans_.size() << " inputs, got "
                                  << inputs.size());
+  DNNSPMV_CHECK_ERRC(head < head_plans_.size(), errc::invalid_argument,
+                     "head " << head << " of " << head_plans_.size());
   for (std::size_t t = 0; t < tower_plans_.size(); ++t)
     run(tower_plans_[t], inputs[t], tower_out_[t]);
   const std::int64_t batch = inputs[0].dim(0);
@@ -489,7 +496,7 @@ void QuantizedMergeNet::forward(const std::vector<Tensor>& inputs,
                   static_cast<std::size_t>(f) * sizeof(float));
     off += f;
   }
-  run(head_plan_, merged_, logits);
+  run(head_plans_[head], merged_, logits);
 }
 
 }  // namespace dnnspmv

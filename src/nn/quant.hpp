@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <vector>
 
 #include "nn/merge_net.hpp"
@@ -86,8 +87,13 @@ struct QuantConfig {
   std::int64_t max_calib_samples = 256;
 };
 
+/// QLayer::seq of MergeNet head `h`: heads count down from -1.
+constexpr std::int32_t head_seq(std::size_t h) {
+  return -1 - static_cast<std::int32_t>(h);
+}
+
 /// One quantized conv/dense layer, addressed by (seq, index) into the
-/// MergeNet: seq ∈ [0, num_towers) is a tower, seq == -1 the head.
+/// MergeNet: seq ∈ [0, num_towers) is a tower, seq == head_seq(h) head h.
 struct QLayer {
   static constexpr std::uint8_t kConv = 0;
   static constexpr std::uint8_t kDense = 1;
@@ -104,7 +110,7 @@ struct QLayer {
 };
 
 /// The serializable product of convert: plain data, no pointers into the
-/// net, copyable between clones. Rides the v2 weight-set format as a
+/// net, copyable between clones. Rides the selector's weight file as a
 /// trailer block after the fp32 params (selector.cpp).
 struct QuantizedWeightSet {
   std::vector<QLayer> layers;
@@ -124,11 +130,16 @@ void quantize_weights_per_channel(const float* w, std::int64_t rows,
 
 /// Observer + calibrate + convert in one pass: walks `calib` (one Tensor
 /// per tower per batch, NCHW) through the net, observes every conv/dense
-/// input, and returns the quantized weight set. Deterministic for a fixed
-/// net and calibration set.
+/// input of the towers and every head, and returns the quantized weight
+/// set. With `only_head` set, observes and converts that head's layers
+/// alone (the towers still run, unobserved, to feed it): the records to
+/// append when a head joins an already-quantized net, leaving the towers'
+/// and other heads' scales as they are. Deterministic for a fixed net and
+/// calibration set.
 QuantizedWeightSet quantize_merge_net(
     MergeNet& net, const std::vector<std::vector<Tensor>>& calib,
-    const QuantConfig& cfg = {});
+    const QuantConfig& cfg = {},
+    std::optional<std::size_t> only_head = std::nullopt);
 
 /// Compiled inference plan over a net + weight set. Holds pre-packed int8
 /// weight panels, fused per-layer epilogue data, and raw byte scratch, and
@@ -142,8 +153,10 @@ class QuantizedMergeNet {
  public:
   QuantizedMergeNet(MergeNet& net, const QuantizedWeightSet& qws);
 
-  /// Quantized forward: inputs[i] feeds tower i, logits [batch, classes].
-  void forward(const std::vector<Tensor>& inputs, Tensor& logits);
+  /// Quantized forward through head `head`: inputs[i] feeds tower i,
+  /// logits [batch, classes].
+  void forward(const std::vector<Tensor>& inputs, Tensor& logits,
+               std::size_t head = 0);
 
  private:
   struct Op {
@@ -168,7 +181,7 @@ class QuantizedMergeNet {
 
   MergeNet* net_;
   std::vector<std::vector<Op>> tower_plans_;
-  std::vector<Op> head_plan_;
+  std::vector<std::vector<Op>> head_plans_;
   Workspace ws_;                    // scratch for the fp32 passthrough ops
   Tensor ping_, pong_, merged_;     // inter-layer activations
   std::vector<Tensor> tower_out_;

@@ -1,60 +1,13 @@
 #include "nn/serialize.hpp"
 
 #include <cstring>
-#include <fstream>
-
-#include "common/error.hpp"
 
 namespace dnnspmv {
 namespace {
 
 constexpr char kMagic[8] = {'D', 'N', 'N', 'S', 'P', 'M', 'V', '1'};
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-void read_pod(std::istream& is, T& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DNNSPMV_CHECK_MSG(is.good(), "truncated model file");
-}
-
-// Chosen to be impossible as a legacy file's first field: pre-header
-// selector files begin with a RepMode int32 (a small non-negative enum).
-constexpr std::uint32_t kWeightSetMagic = 0x57534D56;  // "VMSW"
-
 }  // namespace
-
-void save_weight_set_header(std::ostream& os, const WeightSetHeader& h) {
-  write_pod(os, kWeightSetMagic);
-  write_pod(os, h.format_version);
-  write_pod(os, h.model_version);
-  DNNSPMV_CHECK_MSG(os.good(), "weight-set header write failed");
-}
-
-bool read_weight_set_header(std::istream& is, WeightSetHeader& h) {
-  h = WeightSetHeader{};
-  const std::istream::pos_type start = is.tellg();
-  std::uint32_t magic = 0;
-  is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!is.good() || magic != kWeightSetMagic) {
-    // Legacy stream (or too short to hold a header): rewind untouched.
-    is.clear();
-    is.seekg(start);
-    return false;
-  }
-  read_pod(is, h.format_version);
-  // v1: header + fp32 params. v2 (PR 9): adds the quantize flag to the
-  // selector options block and an optional QuantizedWeightSet trailer.
-  // v3 (PR 10): adds the SpMM-head flag + spmm_cols to the options block
-  // and an optional second params (+ quant) section.
-  DNNSPMV_CHECK_MSG(h.format_version >= 1 && h.format_version <= 3,
-                    "unknown weight-set format version " << h.format_version);
-  read_pod(is, h.model_version);
-  return true;
-}
 
 void save_params(std::ostream& os, const std::vector<Param*>& params) {
   os.write(kMagic, sizeof(kMagic));
@@ -88,20 +41,6 @@ void load_params(std::istream& is, const std::vector<Param*>& params) {
             static_cast<std::streamsize>(p->value.size() * sizeof(float)));
     DNNSPMV_CHECK_MSG(is.good(), "truncated model file");
   }
-}
-
-void save_params_file(const std::string& path,
-                      const std::vector<Param*>& params) {
-  std::ofstream os(path, std::ios::binary);
-  DNNSPMV_CHECK_MSG(os.is_open(), "cannot open " << path << " for write");
-  save_params(os, params);
-}
-
-void load_params_file(const std::string& path,
-                      const std::vector<Param*>& params) {
-  std::ifstream is(path, std::ios::binary);
-  DNNSPMV_CHECK_MSG(is.is_open(), "cannot open " << path);
-  load_params(is, params);
 }
 
 void copy_params(const std::vector<Param*>& src,

@@ -7,41 +7,31 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
+#include <istream>
+#include <ostream>
 #include <vector>
 
+#include "common/error.hpp"
 #include "nn/layer.hpp"
 
 namespace dnnspmv {
 
+/// Raw POD field I/O for the weight-file writers (params, int8 weight set,
+/// selector options). read_pod throws errc::data_error when the stream
+/// runs out.
+template <typename T>
+void write_pod(std::ostream& os, const T& v) {
+  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+template <typename T>
+void read_pod(std::istream& is, T& v) {
+  is.read(reinterpret_cast<char*>(&v), sizeof(T));
+  DNNSPMV_CHECK_MSG(is.good(), "truncated weight file");
+}
+
 void save_params(std::ostream& os, const std::vector<Param*>& params);
 void load_params(std::istream& is, const std::vector<Param*>& params);
-
-/// Versioned weight-set header, prefixed to serialized models so a weight
-/// file keeps its ModelRegistry provenance across save/load.
-/// `format_version` versions the header layout itself; `model_version` is
-/// the registry version the weights were published as (0 = never
-/// published). Files written before this header existed start with a small
-/// enum field instead of the magic, so readers stay backward compatible
-/// via read_weight_set_header's rewind-on-miss.
-struct WeightSetHeader {
-  std::uint32_t format_version = 1;
-  std::uint64_t model_version = 0;
-};
-
-void save_weight_set_header(std::ostream& os, const WeightSetHeader& h);
-
-/// Probes `is` for a weight-set header. When the stream starts with the
-/// header magic, consumes the header into `h` and returns true; otherwise
-/// rewinds to where it started and returns false (`h` reset to defaults
-/// with model_version 0 — the legacy-file interpretation).
-bool read_weight_set_header(std::istream& is, WeightSetHeader& h);
-
-void save_params_file(const std::string& path,
-                      const std::vector<Param*>& params);
-void load_params_file(const std::string& path,
-                      const std::vector<Param*>& params);
 
 /// Copies values (not gradients) from src into dst; shapes must match
 /// pairwise. Used to warm-start "continuous evolvement".

@@ -1,8 +1,8 @@
 // FeedbackCollector — bounded lock-free MPSC stream of measured outcomes.
 //
-// The feedback half of the online-learning loop (DESIGN.md §12): serving
-// paths that actually *ran* SpMV — AdaptiveSpmv::apply's first-apply probe
-// and SelectionService's sampled miss path — publish
+// The feedback half of the online-learning loop (DESIGN.md §12): the
+// serving path that measures real SpMV runs — SelectionService's sampled
+// miss path — publishes
 //
 //   FeedbackSample { fingerprint, CNN representation, measured per-format
 //                    SpMV seconds }

@@ -50,17 +50,14 @@
 //   fault_injected   — failed by an armed fault-injection site
 //   (other)          — a real forward-pass failure, forwarded verbatim
 //
-// Unified submit API (ISSUE 8): every entry path is one call —
-// submit(Request&&) — where the Request carries whatever the caller
-// already computed. A plain caller sets only `matrix`; a router that
-// fingerprinted to pick this replica adds stats+fingerprint (skipping the
-// O(nnz) rehash, counted in fp_reused); a hedged re-dispatch ships the
-// retained `inputs` and no matrix at all. Missing pieces are derived here,
-// in the calling thread. The old submit/submit_fingerprinted/
-// submit_prepared entry points survive one release as [[deprecated]]
-// inline forwarders. ServiceOptions::pin_cpus pins the worker pool to a
-// core/NUMA group and ServiceOptions::injector scopes fault injection per
-// replica.
+// Unified submit API: every entry path is one call — submit(Request&&) —
+// where the Request carries whatever the caller already computed. A plain
+// caller sets only `matrix`; a router that fingerprinted to pick this
+// replica adds stats+fingerprint (skipping the O(nnz) rehash, counted in
+// fp_reused); a hedged re-dispatch ships the retained `inputs` and no
+// matrix at all. Missing pieces are derived here, in the calling thread.
+// ServiceOptions::pin_cpus pins the worker pool to a core/NUMA group and
+// ServiceOptions::injector scopes fault injection per replica.
 //
 // Online learning (ISSUE 8): the service serves a ModelRegistry
 // subscription, not a fixed selector. Workers probe for newly published

@@ -15,7 +15,8 @@ void Csr::validate() const {
   DNNSPMV_CHECK(ptr.back() == nnz());
   DNNSPMV_CHECK(idx.size() == val.size());
   for (index_t r = 0; r < rows; ++r) {
-    DNNSPMV_CHECK_MSG(ptr[r] <= ptr[r + 1], "ptr not monotone at row " << r);
+    DNNSPMV_CHECK_MSG(ptr[r] <= ptr[r + 1] && ptr[r + 1] <= nnz(),
+                      "ptr not monotone or past nnz at row " << r);
     for (std::int64_t j = ptr[r]; j < ptr[r + 1]; ++j) {
       DNNSPMV_CHECK_MSG(idx[j] >= 0 && idx[j] < cols,
                         "column " << idx[j] << " out of range in row " << r);

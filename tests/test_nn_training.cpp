@@ -1,6 +1,8 @@
 // End-to-end learning sanity: the NN stack can actually fit problems.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "nn/activation.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -115,6 +117,31 @@ TEST(Training, HeadStillLearnsWhenTowersFrozen) {
     for (std::int64_t i = 0; i < p->value.size(); ++i)
       changed |= p->value[i] != head_before[k++];
   EXPECT_TRUE(changed);
+}
+
+TEST(Training, FrozenTowersSkipTheirBackwardPass) {
+  Rng rng(48);
+  MergeNet net = make_small_net(rng);
+  std::vector<Tensor> inputs(1, Tensor({2, 1, 8, 8}));
+  inputs[0].fill_uniform(rng, 0.0f, 1.0f);
+  const std::vector<std::int32_t> labels = {0, 1};
+  const auto grads_after_step = [&](Sequential& seq) {
+    for (Param* p : net.params()) p->grad.zero();
+    Tensor logits, grad;
+    net.forward(inputs, logits, /*training=*/true);
+    softmax_cross_entropy(logits, labels, grad);
+    net.backward(inputs, grad);
+    double sum = 0.0;
+    for (Param* p : seq.params())
+      for (std::int64_t i = 0; i < p->grad.size(); ++i)
+        sum += std::abs(p->grad[i]);
+    return sum;
+  };
+  net.freeze_towers();
+  EXPECT_EQ(grads_after_step(net.tower(0)), 0.0);
+  EXPECT_GT(grads_after_step(net.head()), 0.0);
+  net.unfreeze_all();
+  EXPECT_GT(grads_after_step(net.tower(0)), 0.0);
 }
 
 TEST(Training, TwoTowerNetLearnsCrossSourceRule) {

@@ -476,7 +476,7 @@ TEST(QuantSerialize, Fp32RoundTripStaysFp32) {
   }
 }
 
-TEST(QuantSerialize, LegacyPreHeaderFilesStillLoad) {
+TEST(QuantSerialize, LegacyFilesAreRejected) {
   auto& p = qpipeline();
   const std::string path = "test_quant_ws_legacy.bin";
   p.fp32.save(path);
@@ -486,25 +486,30 @@ TEST(QuantSerialize, LegacyPreHeaderFilesStillLoad) {
     bytes.assign(std::istreambuf_iterator<char>(is),
                  std::istreambuf_iterator<char>());
   }
-  // A pre-versioning file has no 16-byte header (magic + format version +
-  // model version), no quantize flag, and no SpMM-head fields. Those sit
-  // after the 4-byte mode, three 8-byte rep fields and the 4-byte late
-  // flag: quantize at [48, 52), has_spmm + spmm_cols at [52, 60).
-  ASSERT_GT(bytes.size(), 60u);
-  const std::string legacy =
-      bytes.substr(16, 48 - 16) + bytes.substr(60);
-  {
-    std::ofstream os(path, std::ios::binary);
-    os.write(legacy.data(), static_cast<std::streamsize>(legacy.size()));
+  ASSERT_GT(bytes.size(), 16u);
+  const auto expect_rejected = [&](const std::string& file,
+                                   const char* what) {
+    {
+      std::ofstream os(path, std::ios::binary);
+      os.write(file.data(), static_cast<std::streamsize>(file.size()));
+    }
+    try {
+      (void)FormatSelector::load(path);
+      ADD_FAILURE() << what << " loaded";
+    } catch (const DnnspmvError& e) {
+      EXPECT_EQ(e.code(), errc::data_error) << what;
+    }
+  };
+  // Pre-header files start with the RepMode field where the 16-byte header
+  // (magic, format version, model version) now sits.
+  expect_rejected(bytes.substr(16), "pre-header file");
+  // Files stamped with an earlier layout version.
+  for (std::uint32_t version : {1u, 2u, 3u}) {
+    std::string stamped = bytes;
+    std::memcpy(stamped.data() + 4, &version, sizeof(version));
+    expect_rejected(stamped, ("v" + std::to_string(version)).c_str());
   }
-  const FormatSelector loaded = FormatSelector::load(path);
   std::remove(path.c_str());
-  EXPECT_FALSE(loaded.quantized());
-  EXPECT_EQ(loaded.model_version(), 0u);  // pre-header files are unpublished
-  for (std::size_t i = 0; i < 16; ++i) {
-    const Csr& a = p.corpus[i].matrix;
-    EXPECT_EQ(loaded.predict_index(a), p.fp32.predict_index(a));
-  }
 }
 
 TEST(QuantSerialize, TruncatedQuantTrailerIsRejected) {

@@ -360,11 +360,6 @@ TEST(AdaptiveSpmv, ReusesPredictionCacheAcrossConstructions) {
   EXPECT_FALSE(uncached.cache_hit());
   EXPECT_EQ(uncached.format(), first.format());
 
-  // The default constructor memoizes through the shared cache.
-  const AdaptiveSpmv shared1(p.selector, a);
-  const AdaptiveSpmv shared2(p.selector, a);
-  EXPECT_TRUE(shared2.cache_hit());
-  EXPECT_EQ(shared1.format(), shared2.format());
 }
 
 TEST(ServiceMetrics, LatencyHistogramBucketsAndQuantiles) {

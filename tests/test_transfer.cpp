@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
+
 namespace dnnspmv {
 namespace {
 
@@ -136,6 +138,49 @@ TEST(Transfer, MigratedModelIsUnfrozenAfterContinuous) {
   MergeNet migrated = migrate_model(toy_spec(), t.source,
                                     MigrationMethod::kContinuous, target, cfg);
   for (Param* p : migrated.params()) EXPECT_FALSE(p->frozen);
+}
+
+TEST(Transfer, TopEvolveAppendsAndTrainsANewHead) {
+  // The SpMM head's path (FormatSelector::fit_spmm): head 1 is appended
+  // with fresh weights and trains alone; the towers and head 0 carry over.
+  Trained t;
+  const Dataset target = make_toy(32, 8, /*flip_labels=*/true);
+  TrainConfig cfg;
+  cfg.epochs = 4;
+  cfg.batch = 16;
+  MergeNet migrated =
+      migrate_model(toy_spec(), t.source, MigrationMethod::kTopEvolve, target,
+                    cfg, /*head=*/1);
+  ASSERT_EQ(migrated.num_heads(), 2u);
+  for (std::size_t tw = 0; tw < 2; ++tw)
+    EXPECT_EQ(snapshot(t.source.tower(tw).params()),
+              snapshot(migrated.tower(tw).params()));
+  EXPECT_EQ(snapshot(t.source.head_params(0)),
+            snapshot(migrated.head_params(0)));
+  // Head 1 started from build_cnn's fresh weights and trained.
+  MergeNet fresh = build_cnn(toy_spec(), 2);
+  EXPECT_NE(snapshot(fresh.head_params(1)), snapshot(migrated.head_params(1)));
+  for (Param* p : migrated.head_params(1)) EXPECT_FALSE(p->frozen);
+}
+
+TEST(Transfer, NewHeadRejectsGapsAndTowerRetraining) {
+  Trained t;
+  const Dataset target = make_toy(8, 9);
+  TrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.batch = 8;
+  EXPECT_THROW(migrate_model(toy_spec(), t.source, MigrationMethod::kTopEvolve,
+                             target, cfg, /*head=*/2),
+               DnnspmvError);
+  for (MigrationMethod m :
+       {MigrationMethod::kContinuous, MigrationMethod::kFromScratch}) {
+    try {
+      migrate_model(toy_spec(), t.source, m, target, cfg, /*head=*/1);
+      ADD_FAILURE() << migration_method_name(m) << " must throw";
+    } catch (const DnnspmvError& e) {
+      EXPECT_EQ(e.code(), errc::invalid_argument);
+    }
+  }
 }
 
 }  // namespace
