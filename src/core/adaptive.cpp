@@ -8,23 +8,26 @@
 
 namespace dnnspmv {
 
-AnyFormatMatrix AdaptiveSpmv::convert_or_csr(const Csr& matrix,
-                                             Format format,
-                                             bool& fell_back) {
+namespace {
+
+// `format` when it accepts the matrix, else CSR (which never refuses);
+// `seconds` receives the conversion time.
+AnyFormatMatrix convert_or_csr(const Csr& matrix, Format format,
+                               double& seconds) {
+  Timer timer;
   auto stored = AnyFormatMatrix::convert(matrix, format);
-  if (stored) {
-    fell_back = false;
-    return std::move(*stored);
-  }
-  fell_back = true;
-  return *AnyFormatMatrix::convert(matrix, Format::kCsr);  // never refuses
+  if (!stored) stored = AnyFormatMatrix::convert(matrix, Format::kCsr);
+  seconds = timer.seconds();
+  return std::move(*stored);
 }
 
-AdaptiveSpmv::AdaptiveSpmv(const FormatSelector& selector, const Csr& matrix,
-                           PredictionCache* cache)
-    : stored_(*AnyFormatMatrix::convert(matrix, Format::kCsr)) {
-  Timer predict_timer;
-  Format pick;
+}  // namespace
+
+AdaptiveSpmv::Choice AdaptiveSpmv::predict(const FormatSelector& selector,
+                                           const Csr& matrix,
+                                           PredictionCache* cache) {
+  Timer timer;
+  Choice p{Format::kCsr};
   if (cache) {
     // Same cache key space as the service: structural fingerprint, mixed
     // with the selector's identity so two models never share entries.
@@ -32,29 +35,31 @@ AdaptiveSpmv::AdaptiveSpmv(const FormatSelector& selector, const Csr& matrix,
         structural_fingerprint(matrix),
         reinterpret_cast<std::uintptr_t>(&selector));
     std::int32_t idx = 0;
-    if (cache->get(key, idx)) {
-      cache_hit_ = true;
-      pick = selector.candidates()[static_cast<std::size_t>(idx)];
-    } else {
+    p.cache_hit = cache->get(key, idx);
+    if (!p.cache_hit) {
       idx = selector.predict_index(matrix);
       cache->put(key, idx);
-      pick = selector.candidates()[static_cast<std::size_t>(idx)];
     }
+    p.format = selector.candidates()[static_cast<std::size_t>(idx)];
   } else {
-    pick = selector.predict(matrix);
+    p.format = selector.predict(matrix);
   }
-  prediction_seconds_ = predict_timer.seconds();
-  Timer convert_timer;
-  stored_ = convert_or_csr(matrix, pick, fell_back_);
-  conversion_seconds_ = convert_timer.seconds();
+  p.prediction_seconds = timer.seconds();
+  return p;
 }
 
-AdaptiveSpmv::AdaptiveSpmv(const Csr& matrix, Format format)
-    : stored_(*AnyFormatMatrix::convert(matrix, Format::kCsr)) {
-  Timer convert_timer;
-  stored_ = convert_or_csr(matrix, format, fell_back_);
-  conversion_seconds_ = convert_timer.seconds();
-}
+AdaptiveSpmv::AdaptiveSpmv(const FormatSelector& selector, const Csr& matrix,
+                           PredictionCache* cache)
+    : AdaptiveSpmv(matrix, predict(selector, matrix, cache)) {}
+
+// stored_ is declared first, so its conversion has written
+// choice.conversion_seconds before conversion_seconds_ reads it.
+AdaptiveSpmv::AdaptiveSpmv(const Csr& matrix, Choice choice)
+    : stored_(convert_or_csr(matrix, choice.format, choice.conversion_seconds)),
+      fell_back_(stored_.format() != choice.format),
+      cache_hit_(choice.cache_hit),
+      prediction_seconds_(choice.prediction_seconds),
+      conversion_seconds_(choice.conversion_seconds) {}
 
 void AdaptiveSpmv::apply(std::span<const double> x,
                          std::span<double> y) const {

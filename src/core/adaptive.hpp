@@ -30,7 +30,8 @@ class AdaptiveSpmv {
                PredictionCache* cache = nullptr);
 
   /// No prediction: stores the matrix in `format` (CSR fallback applies).
-  AdaptiveSpmv(const Csr& matrix, Format format);
+  AdaptiveSpmv(const Csr& matrix, Format format)
+      : AdaptiveSpmv(matrix, Choice{format}) {}
 
   /// y = A*x in the chosen format.
   void apply(std::span<const double> x, std::span<double> y) const;
@@ -54,8 +55,17 @@ class AdaptiveSpmv {
   double conversion_seconds() const { return conversion_seconds_; }
 
  private:
-  static AnyFormatMatrix convert_or_csr(const Csr& matrix, Format format,
-                                        bool& fell_back);
+  /// The format to store and what choosing and converting it cost.
+  struct Choice {
+    Format format;
+    bool cache_hit = false;
+    double prediction_seconds = 0.0;
+    double conversion_seconds = 0.0;
+  };
+  static Choice predict(const FormatSelector& selector, const Csr& matrix,
+                        PredictionCache* cache);
+  /// Converts once, into the chosen format or the CSR fallback.
+  AdaptiveSpmv(const Csr& matrix, Choice choice);
 
   AnyFormatMatrix stored_;
   bool fell_back_ = false;

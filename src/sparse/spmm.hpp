@@ -2,11 +2,14 @@
 // Y (rows×K) dense and row-major (the GNN/DNN serving layout — each
 // sparse row gathers contiguous K-wide panels of X).
 //
-// Every kernel mirrors its SpMV sibling's traversal and accumulation
-// order exactly, so at K = 1 the result is bitwise identical to the
-// corresponding spmv_* call — the property test_spmm pins down. The
-// OpenMP decomposition is the same as SpMV's too (rows for CSR/ELL/DIA/
-// BSR, nnz chunks for COO, tiles for CSR5), which keeps the relative
+// Every kernel keeps its SpMV sibling's per-lane order: lane c of an
+// output row sums the same products, in the same order, as spmv_* does on
+// column c of X, starting from 0.0 with a multiply then an add. So,
+// single-threaded, every lane at any K is bitwise that SpMV, K = 1
+// included — the property test_spmm pins down. The lanes accumulate in
+// register panels (spmm.cpp). The OpenMP decomposition is SpMV's (rows
+// for CSR/ELL/BSR, nnz chunks for COO, tiles for CSR5) except that DIA
+// walks rows instead of sweeping diagonals. Sharing it keeps the relative
 // format ranking comparable across the two ops while the K-fold reuse of
 // index traffic shifts the crossover points (what makes op-aware
 // selection worth a second label set).

@@ -1,9 +1,11 @@
 // SpMM kernels (sparse/spmm.hpp): every format against the dense
-// reference over a generator × format × K grid (K = 1 and ragged tails
-// included), the K = 1 bitwise-parity contract with SpMV, empty-row
-// handling, and shape validation.
+// reference over a generator × format × K grid (K = 1, full register
+// panels and ragged tails included), the bitwise-parity contract with
+// SpMV (K = 1, and every lane at any K), empty-row handling, and shape
+// validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <tuple>
@@ -44,8 +46,24 @@ std::vector<double> random_panel(index_t rows, index_t k, std::uint64_t seed) {
   return x;
 }
 
+// Pins the OpenMP team to one thread for the guard's lifetime: atomic
+// accumulation (COO boundary rows, CSR5 partial tiles) is only
+// deterministic single-threaded.
+class OneThread {
+ public:
+#ifdef _OPENMP
+  OneThread() : saved_(omp_get_max_threads()) { omp_set_num_threads(1); }
+  ~OneThread() { omp_set_num_threads(saved_); }
+
+ private:
+  int saved_;
+#endif
+};
+
 // (generator, format, K): K covers the SpMV-degenerate case (1), ragged
-// widths no vector lane divides (3, 7), and a serving-typical panel (32).
+// widths no vector lane divides (3, 7), whole register panels (16 lanes
+// without AVX2, 32 with it; 32 is also the serving-typical width), and a
+// panel plus a one-lane tail (33).
 class SpmmGrid
     : public ::testing::TestWithParam<std::tuple<int, std::int32_t, int>> {};
 
@@ -75,17 +93,12 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, SpmmGrid,
     ::testing::Combine(::testing::Range(0, 8),
                        ::testing::Range(0, kNumFormats),
-                       ::testing::Values(1, 3, 7, 32)));
+                       ::testing::Values(1, 3, 7, 16, 32, 33)));
 
 // At K = 1 every kernel must reproduce its SpMV sibling bit for bit: the
-// traversal and accumulation order are shared by construction. Atomic
-// accumulation (COO boundary rows, CSR5 partial tiles) is only
-// deterministic single-threaded, so the comparison pins one thread.
+// per-lane accumulation order is shared by construction.
 TEST(Spmm, KEqualsOneIsBitwiseSpmv) {
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
+  OneThread one_thread;
   for (int gen_id = 0; gen_id < 8; ++gen_id) {
     const Csr a =
         make_matrix(gen_id, 5000 + static_cast<std::uint64_t>(gen_id));
@@ -104,9 +117,46 @@ TEST(Spmm, KEqualsOneIsBitwiseSpmv) {
           << format_name(static_cast<Format>(f));
     }
   }
-#ifdef _OPENMP
-  omp_set_num_threads(saved);
-#endif
+}
+
+// A lane's arithmetic does not depend on K: lane c of spmm(X) is, bit for
+// bit, spmv on column c of X. For both register-panel widths (32 lanes
+// with AVX2, 16 without) the K list has pure tails (1, 3, 7), whole
+// panels (16 or 32, and 64) and panels plus a tail (17, 33, 48).
+TEST(Spmm, EveryLaneIsBitwiseSpmvOfItsColumn) {
+  OneThread one_thread;
+  for (int gen_id = 0; gen_id < 8; ++gen_id) {
+    const Csr a =
+        make_matrix(gen_id, 6000 + static_cast<std::uint64_t>(gen_id));
+    for (const index_t k : {1, 3, 7, 16, 17, 32, 33, 48, 64}) {
+      const std::vector<double> x = random_panel(
+          a.cols, k, 77 + static_cast<std::uint64_t>(gen_id * 100 + k));
+      for (std::int32_t f = 0; f < kNumFormats; ++f) {
+        const auto m = AnyFormatMatrix::convert(a, static_cast<Format>(f));
+        if (!m) continue;
+        std::vector<double> y_mm(static_cast<std::size_t>(a.rows) * k, -2.0);
+        m->spmm(x, y_mm, k);
+        std::vector<double> x_col(static_cast<std::size_t>(a.cols));
+        std::vector<double> y_mv(static_cast<std::size_t>(a.rows));
+        std::vector<double> y_lane(y_mv.size());
+        for (index_t c = 0; c < k; ++c) {
+          for (index_t j = 0; j < a.cols; ++j)
+            x_col[static_cast<std::size_t>(j)] =
+                x[static_cast<std::size_t>(j) * k + c];
+          std::fill(y_mv.begin(), y_mv.end(), -1.0);
+          m->spmv(x_col, y_mv);
+          for (index_t i = 0; i < a.rows; ++i)
+            y_lane[static_cast<std::size_t>(i)] =
+                y_mm[static_cast<std::size_t>(i) * k + c];
+          ASSERT_EQ(0, std::memcmp(y_mv.data(), y_lane.data(),
+                                   y_mv.size() * sizeof(double)))
+              << "gen " << gen_id << " format "
+              << format_name(static_cast<Format>(f)) << " k=" << k
+              << " lane " << c;
+        }
+      }
+    }
+  }
 }
 
 // Leading, interior, and trailing empty rows must produce exact zero
