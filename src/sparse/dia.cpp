@@ -55,22 +55,38 @@ Csr csr_from_dia(const Dia& a) {
   return csr_from_triplets(a.rows, a.cols, std::move(ts));
 }
 
+namespace {
+
+// Rows per block: a thread owns a block's outputs, 4 KB that stay in L1
+// while every diagonal streams its slice of the block past them.
+constexpr index_t kDiaBlock = 512;
+
+}  // namespace
+
 void spmv_dia(const Dia& a, std::span<const double> x, std::span<double> y) {
   DNNSPMV_CHECK(x.size() == static_cast<std::size_t>(a.cols));
   DNNSPMV_CHECK(y.size() == static_cast<std::size_t>(a.rows));
-  std::fill(y.begin(), y.end(), 0.0);
+  const index_t* offsets = a.offsets.data();
+  const std::size_t ndiags = a.offsets.size();
+  const double* diags = a.data.data();
+  const auto rows = static_cast<std::size_t>(a.rows);
+  const index_t cols = a.cols;
   const double* xv = x.data();
   double* yv = y.data();
-  // Parallelize over rows (the y index) so threads never collide; each
-  // diagonal contributes a contiguous streaming access to x.
-  for (std::size_t d = 0; d < a.offsets.size(); ++d) {
-    const index_t off = a.offsets[d];
-    const index_t istart = std::max<index_t>(0, -off);
-    const index_t iend =
-        std::min<index_t>(a.rows, a.cols - off);  // exclusive
-    const double* diag = a.data.data() + d * a.rows;
+  const index_t nblocks = (a.rows + kDiaBlock - 1) / kDiaBlock;
+  // Each row starts at 0.0 and takes its diagonals in offset order.
 #pragma omp parallel for schedule(static)
-    for (index_t i = istart; i < iend; ++i) yv[i] += diag[i] * xv[i + off];
+  for (index_t b = 0; b < nblocks; ++b) {
+    const index_t r0 = b * kDiaBlock;
+    const index_t r1 = std::min(a.rows, r0 + kDiaBlock);
+    for (index_t i = r0; i < r1; ++i) yv[i] = 0.0;
+    for (std::size_t d = 0; d < ndiags; ++d) {
+      const index_t off = offsets[d];
+      const index_t lo = std::max(r0, -off);
+      const index_t hi = std::min(r1, cols - off);  // exclusive
+      const double* diag = diags + d * rows;
+      for (index_t i = lo; i < hi; ++i) yv[i] += diag[i] * xv[i + off];
+    }
   }
 }
 

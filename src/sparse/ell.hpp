@@ -1,6 +1,11 @@
 // ELLPACK format: fixed-width rows, column-major storage for vectorized /
 // coalesced access. Conversion fails when padding would exceed `max_fill`
 // times the nnz footprint (a long densest row makes ELL hopeless).
+//
+// spmv_ell computes 16-row blocks, one slot (ELL column) at a time, so each
+// step reads 16 contiguous indices and values. Each row still sums its
+// live slots in slot order from 0.0, skipping padding, so the result is
+// bitwise the row-by-row walk.
 #pragma once
 
 #include <optional>

@@ -7,11 +7,11 @@
 // column c of X, starting from 0.0 with a multiply then an add. So,
 // single-threaded, every lane at any K is bitwise that SpMV, K = 1
 // included — the property test_spmm pins down. The lanes accumulate in
-// register panels (spmm.cpp). The OpenMP decomposition is SpMV's (rows
-// for CSR/ELL/BSR, nnz chunks for COO, tiles for CSR5) except that DIA
-// walks rows instead of sweeping diagonals. Sharing it keeps the relative
-// format ranking comparable across the two ops while the K-fold reuse of
-// index traffic shifts the crossover points (what makes op-aware
+// register panels (spmm.cpp). The OpenMP decomposition is SpMV's: rows
+// for CSR/ELL/DIA/BSR (SpMV takes ELL and DIA rows in blocks, SpMM one row
+// at a time), nnz chunks for COO, tiles for CSR5. Sharing it keeps the
+// relative format ranking comparable across the two ops while the K-fold
+// reuse of index traffic shifts the crossover points (what makes op-aware
 // selection worth a second label set).
 #pragma once
 

@@ -148,12 +148,23 @@ TEST(Edge, ValidateCatchesUnsortedColumns) {
   EXPECT_THROW(a.validate(), std::runtime_error);
 }
 
+// Every kernel checks both vector sizes before it indexes x or y.
 TEST(Edge, SpmvRejectsWrongVectorSizes) {
   const Csr a = diag_matrix(4);
   std::vector<double> x(3, 1.0), y(4, 0.0);
   EXPECT_THROW(spmv_csr(a, x, y), std::runtime_error);
   std::vector<double> x4(4, 1.0), y3(3, 0.0);
   EXPECT_THROW(spmv_csr(a, x4, y3), std::runtime_error);
+  std::vector<double> x5(5, 1.0), y5(5, 0.0);
+  for (std::int32_t f = 0; f < kNumFormats; ++f) {
+    const auto m = AnyFormatMatrix::convert(a, static_cast<Format>(f));
+    ASSERT_TRUE(m.has_value());
+    const std::string name = format_name(static_cast<Format>(f));
+    EXPECT_THROW(m->spmv(x, y), std::runtime_error) << name;
+    EXPECT_THROW(m->spmv(x5, y), std::runtime_error) << name;
+    EXPECT_THROW(m->spmv(x4, y3), std::runtime_error) << name;
+    EXPECT_THROW(m->spmv(x4, y5), std::runtime_error) << name;
+  }
 }
 
 TEST(Edge, KernelsAreDeterministicAcrossRuns) {
