@@ -4,7 +4,6 @@
 
 #include "common/hash.hpp"
 #include "common/timer.hpp"
-#include "serve/fingerprint.hpp"
 
 namespace dnnspmv {
 
@@ -29,11 +28,11 @@ AdaptiveSpmv::Choice AdaptiveSpmv::predict(const FormatSelector& selector,
   Timer timer;
   Choice p{Format::kCsr};
   if (cache) {
-    // Same cache key space as the service: structural fingerprint, mixed
-    // with the selector's identity so two models never share entries.
-    const std::uint64_t key = hash_combine(
-        structural_fingerprint(matrix),
-        reinterpret_cast<std::uintptr_t>(&selector));
+    // The exact pattern, validated in the same walk, under the identity of
+    // the weights: other weights, even in the same selector, never share
+    // an entry.
+    const std::uint64_t key =
+        hash_combine(pattern_key(matrix), selector.weights_id());
     std::int32_t idx = 0;
     p.cache_hit = cache->get(key, idx);
     if (!p.cache_hit) {

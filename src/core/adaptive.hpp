@@ -8,12 +8,15 @@
 // callers can reason about amortization ("the 1–3 iterations of overhead
 // is negligible compared to the time the better formats help save").
 //
-// Prediction can be memoized through a caller-owned serve-layer
-// structural-fingerprint cache: constructing repeatedly from the same (or
-// structurally identical) matrix then skips CNN inference after the first
-// time, paying only the O(nnz) fingerprint pass. The cache's owner scopes
-// it (per model, per tenant); entries are keyed by fingerprint and the
-// selector's address, so a cache must not outlive the selectors it serves.
+// Prediction can be memoized through a caller-owned PredictionCache:
+// constructing again from a matrix with the same sparsity pattern then
+// skips CNN inference, paying only one O(nnz) walk over `ptr` and `idx`
+// that both validates the matrix and hashes it (pattern_key, csr.hpp).
+// Entries are keyed by that exact pattern key and the selector's
+// weights_id(), so a selector refitted, requantized or reloaded in place
+// misses instead of answering with the old weights' pick, and one cache can
+// serve several selectors. The serve layer's SelectionService keeps its own
+// cache, keyed by structural fingerprint.
 #pragma once
 
 #include "core/selector.hpp"
@@ -25,7 +28,8 @@ namespace dnnspmv {
 class AdaptiveSpmv {
  public:
   /// Predicts with `selector`, converts, and owns the stored matrix. The
-  /// prediction is memoized through `cache` when one is given.
+  /// prediction is memoized through `cache` when one is given; a malformed
+  /// matrix then throws errc::invalid_argument.
   AdaptiveSpmv(const FormatSelector& selector, const Csr& matrix,
                PredictionCache* cache = nullptr);
 
@@ -50,7 +54,7 @@ class AdaptiveSpmv {
   std::int64_t bytes() const { return stored_.bytes(); }
 
   /// One-time costs paid at construction. On a cache hit,
-  /// prediction_seconds() is the fingerprint+lookup time only.
+  /// prediction_seconds() is the pattern-key walk and lookup only.
   double prediction_seconds() const { return prediction_seconds_; }
   double conversion_seconds() const { return conversion_seconds_; }
 

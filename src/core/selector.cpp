@@ -1,5 +1,6 @@
 #include "core/selector.hpp"
 
+#include <atomic>
 #include <fstream>
 #include <numeric>
 
@@ -25,6 +26,12 @@ constexpr std::uint32_t kWeightFileVersion = 4;
 // skip the towers' backward pass, so the two cost less than one epoch of
 // full training.
 constexpr int kSpmmHeadEpochScale = 2;
+
+// A weights_id() no selector has had yet.
+std::uint64_t next_weights_id() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 }  // namespace
 
@@ -83,6 +90,7 @@ void FormatSelector::fit(const Dataset& train) {
   qws_.reset();
   net_ = std::make_unique<MergeNet>(build_cnn(spec));
   train_cnn(*net_, train, num_net_inputs(spec), opts_.train);
+  weights_id_ = next_weights_id();
   if (opts_.quantize) quantize(train);
 }
 
@@ -108,6 +116,7 @@ void FormatSelector::fit_spmm(const Dataset& train) {
                                train, cfg, spmm);
   qnet_.reset();  // compiled over the net being replaced
   net_ = std::make_unique<MergeNet>(std::move(net));
+  weights_id_ = next_weights_id();
   if (qws_) {
     // Only the new head's layers join the weight set, calibrated on its
     // own training slice; the towers and the SpMV head keep their scales.
@@ -156,6 +165,7 @@ void FormatSelector::quantize(const Dataset& calib) {
       quantize_merge_net(*net_, batches, opts_.quant));
   qnet_ = std::make_unique<QuantizedMergeNet>(*net_, *qws_);
   opts_.quantize = true;
+  weights_id_ = next_weights_id();
 }
 
 std::vector<Tensor> FormatSelector::prepare_inputs(const Csr& a) const {
@@ -246,6 +256,7 @@ FormatSelector FormatSelector::clone() const {
   // Clones carry the weight set's registry version: a ModelSubscription's
   // private copy must answer model_version() with the published number.
   out.model_version_ = model_version_;
+  out.weights_id_ = next_weights_id();
   out.net_ = std::make_unique<MergeNet>(
       build_cnn(out.make_spec(), net_->num_heads()));
   copy_params(net_->params(), out.net_->params());
@@ -272,6 +283,7 @@ FormatSelector FormatSelector::migrate(MigrationMethod method,
   // refuses the methods that would retrain them under it.
   out.net_ = std::make_unique<MergeNet>(
       migrate_model(make_spec(), *net_, method, target_train, cfg));
+  out.weights_id_ = next_weights_id();
   // Re-quantize on the migration target: the fine-tuned weights get fresh
   // scales and the calibration distribution matches the data the migrated
   // model will serve. This is what keeps online publishes quantized —
@@ -340,6 +352,7 @@ FormatSelector FormatSelector::load(const std::string& path) {
     sel.candidates_.push_back(static_cast<Format>(fi));
   }
   sel.model_version_ = model_version;
+  sel.weights_id_ = next_weights_id();
   sel.net_ = std::make_unique<MergeNet>(
       build_cnn(sel.make_spec(), static_cast<std::size_t>(heads)));
   load_params(is, sel.net_->params());

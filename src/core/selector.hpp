@@ -158,6 +158,13 @@ class FormatSelector {
   /// and load(), so a serialized weight set keeps its provenance.
   std::uint64_t model_version() const { return model_version_; }
 
+  /// Identity of the weights this selector predicts with: unique within
+  /// the process and renewed by every call that sets them (fit, fit_spmm,
+  /// quantize, load, clone, migrate), 0 before the first. Prediction caches
+  /// key by it, so a selector refitted or reassigned in place never answers
+  /// from the old weights' entries. Writes through net() do not renew it.
+  std::uint64_t weights_id() const { return weights_id_; }
+
   /// Deep copy of a trained selector: a fresh MergeNet with identical
   /// architecture and weights and its own inference mutex. Because forward
   /// passes are serialized per selector, N clones give N independent
@@ -187,6 +194,7 @@ class FormatSelector {
   StreamingRepBuilder rep_builder_;  // derived from opts_; keep adjacent
   std::vector<Format> candidates_;
   std::uint64_t model_version_ = 0;
+  std::uint64_t weights_id_ = 0;
   // Shared towers plus one head per supported op, indexed by SpOp.
   std::unique_ptr<MergeNet> net_;  // unique_ptr: MergeNet is move-averse
   // Int8 inference state: the serializable weight set and the compiled

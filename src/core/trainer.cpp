@@ -34,6 +34,26 @@ struct TrainerObs {
   }
 };
 
+// Every sample's CNN codes, [samples, features], from the towers' training
+// forward over batches of `batch` samples in dataset order.
+Tensor dataset_codes(MergeNet& net, const Dataset& data, int net_inputs,
+                     int batch, Workspace& ws) {
+  const std::size_t n = data.samples.size();
+  Tensor codes, chunk;
+  std::vector<std::int32_t> idx;
+  for (std::size_t off = 0; off < n; off += static_cast<std::size_t>(batch)) {
+    idx.resize(std::min(n - off, static_cast<std::size_t>(batch)));
+    std::iota(idx.begin(), idx.end(), static_cast<std::int32_t>(off));
+    net.codes(assemble_batch(data, idx, net_inputs), chunk, ws,
+              /*training=*/true);
+    const std::int64_t feat = chunk.dim(1);
+    if (codes.empty()) codes.resize({static_cast<std::int64_t>(n), feat});
+    std::copy(chunk.data(), chunk.data() + chunk.size(),
+              codes.data() + static_cast<std::int64_t>(off) * feat);
+  }
+  return codes;
+}
+
 }  // namespace
 
 std::vector<Tensor> assemble_batch(const Dataset& data,
@@ -89,6 +109,16 @@ TrainHistory train_cnn(MergeNet& net, const Dataset& data, int net_inputs,
   TrainHistory hist;
   Adam opt(net.params(), cfg.lr);
   Workspace ws;  // one scratch workspace for the whole training run
+  // Top evolvement: frozen towers give each sample the same CNN codes on
+  // every step, so the codes are computed once and each step runs only the
+  // head. The conv forward is batch-invariant (conv2d.hpp), so the codes,
+  // the head's inputs and every weight come out the same bits as full
+  // passes; dropout sits in the head only, which sees the same calls.
+  const bool head_only = net.towers_frozen();
+  const Tensor codes = head_only
+                           ? dataset_codes(net, data, net_inputs, cfg.batch, ws)
+                           : Tensor();
+  std::vector<Tensor> inputs;  // stays empty on head-only steps
   Rng rng(cfg.seed);
   std::vector<std::int32_t> order(data.samples.size());
   std::iota(order.begin(), order.end(), 0);
@@ -110,15 +140,18 @@ TrainHistory train_cnn(MergeNet& net, const Dataset& data, int net_inputs,
           std::min(order.size(), off + static_cast<std::size_t>(cfg.batch));
       const std::vector<std::int32_t> idx(order.begin() + off,
                                           order.begin() + end);
-      const std::vector<Tensor> inputs =
-          assemble_batch(data, idx, net_inputs);
       std::vector<std::int32_t> labels;
       labels.reserve(idx.size());
       for (std::int32_t i : idx)
         labels.push_back(data.samples[static_cast<std::size_t>(i)].label);
 
       Tensor logits;
-      net.forward(inputs, logits, /*training=*/true, ws, head);
+      if (head_only) {
+        net.forward_codes(codes, idx, logits, /*training=*/true, ws, head);
+      } else {
+        inputs = assemble_batch(data, idx, net_inputs);
+        net.forward(inputs, logits, /*training=*/true, ws, head);
+      }
       Tensor grad;
       const double loss = softmax_cross_entropy(logits, labels, grad);
       net.backward(inputs, grad, ws);

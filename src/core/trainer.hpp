@@ -30,7 +30,10 @@ std::vector<Tensor> assemble_batch(const Dataset& data,
                                    int net_inputs);
 
 /// Trains in place with Adam through head `head`; respects frozen
-/// parameters.
+/// parameters. When every tower parameter is frozen (top evolvement), each
+/// sample's CNN codes are computed once and every step trains the head
+/// alone, with the same result bit for bit; this needs towers that hold no
+/// dropout, as build_cnn's towers never do.
 TrainHistory train_cnn(MergeNet& net, const Dataset& data,
                        int net_inputs, const TrainConfig& cfg,
                        std::size_t head = 0);

@@ -50,7 +50,8 @@ std::vector<std::int64_t> Conv2D::output_shape(
   return {in[0], out_channels_, g.out_h(), g.out_w()};
 }
 
-void Conv2D::forward(const Tensor& in, Tensor& out, bool, Workspace& ws) {
+void Conv2D::forward(const Tensor& in, Tensor& out, bool training,
+                     Workspace& ws) {
   const ConvGeom g = geom(in.shape());
   const std::int64_t batch = in.dim(0);
   const std::int64_t opix = g.out_h() * g.out_w();
@@ -63,6 +64,9 @@ void Conv2D::forward(const Tensor& in, Tensor& out, bool, Workspace& ws) {
   float* col = ws.get(this, kColSlot, psz * ncols);
   float* out_mat = ws.get(this, kOutMatSlot, out_channels_ * ncols);
   im2col_batch(g, batch, in.data(), col);
+  lowered_in_ = training ? in.data() : nullptr;
+  lowered_ws_ = ws.id();
+  lowered_shape_ = in.shape();
   sgemm_row_bias(out_channels_, ncols, psz, 1.0f, weight_.value.data(), col,
                  0.0f, out_mat, bias_.value.data());
 #pragma omp parallel for schedule(static)
@@ -75,20 +79,30 @@ void Conv2D::forward(const Tensor& in, Tensor& out, bool, Workspace& ws) {
 
 void Conv2D::backward(const Tensor& in, const Tensor&, const Tensor& grad_out,
                       Tensor& grad_in, Workspace& ws) {
+  backward_impl(in, grad_out, &grad_in, ws);
+}
+
+void Conv2D::backward_params(const Tensor& in, const Tensor&,
+                             const Tensor& grad_out, Workspace& ws) {
+  backward_impl(in, grad_out, nullptr, ws);
+}
+
+void Conv2D::backward_impl(const Tensor& in, const Tensor& grad_out,
+                           Tensor* grad_in, Workspace& ws) {
   const ConvGeom g = geom(in.shape());
   const std::int64_t batch = in.dim(0);
   const std::int64_t opix = g.out_h() * g.out_w();
   const std::int64_t psz = g.patch_size();
   const std::int64_t ncols = batch * opix;
-  grad_in.ensure(in.shape());
 
-  // Re-lower the input instead of caching the (large) col matrix from
-  // forward, and gather grad_out from NCHW into the matching [oc, ncols]
-  // matrix so both gradient GEMMs run once over the whole batch.
+  // The lowered input, and grad_out gathered from NCHW into the matching
+  // [oc, ncols] matrix, so both gradient GEMMs run once over the whole
+  // batch.
   float* col = ws.get(this, kColSlot, psz * ncols);
   float* go_mat = ws.get(this, kGoMatSlot, out_channels_ * ncols);
-  float* gcol = ws.get(this, kGColSlot, psz * ncols);
-  im2col_batch(g, batch, in.data(), col);
+  if (lowered_in_ != in.data() || lowered_ws_ != ws.id() ||
+      lowered_shape_ != in.shape())
+    im2col_batch(g, batch, in.data(), col);
 #pragma omp parallel for schedule(static)
   for (std::int64_t n = 0; n < batch; ++n)
     for (std::int64_t oc = 0; oc < out_channels_; ++oc)
@@ -106,10 +120,13 @@ void Conv2D::backward(const Tensor& in, const Tensor&, const Tensor& grad_out,
     for (std::int64_t p = 0; p < ncols; ++p) acc += row[p];
     bias_.grad[oc] += static_cast<float>(acc);
   }
+  if (!grad_in) return;
   // dCol = W^T * dOut, then scatter back to the images.
+  grad_in->ensure(in.shape());
+  float* gcol = ws.get(this, kGColSlot, psz * ncols);
   sgemm_at(psz, ncols, out_channels_, 1.0f, weight_.value.data(), go_mat,
            0.0f, gcol);
-  col2im_batch(g, batch, gcol, grad_in.data());
+  col2im_batch(g, batch, gcol, grad_in->data());
 }
 
 }  // namespace dnnspmv

@@ -7,6 +7,10 @@
 // Workspace and are reused across calls. Batched and per-sample forward
 // produce bitwise-identical outputs (the GEMM's per-column accumulation
 // order is position-independent; tests/test_gemm_property.cpp holds this).
+//
+// Backward needs the same lowered input its forward built. It reuses the
+// workspace's copy when the last forward was a training forward of the same
+// input in the same workspace, and lowers again otherwise.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -26,6 +30,9 @@ class Conv2D final : public Layer {
                Workspace& ws) override;
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,
                 Tensor& grad_in, Workspace& ws) override;
+  /// Skips the input-gradient GEMM and col2im.
+  void backward_params(const Tensor& in, const Tensor& out,
+                       const Tensor& grad_out, Workspace& ws) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   std::string name() const override { return "conv2d"; }
   std::vector<std::int64_t> output_shape(
@@ -39,10 +46,17 @@ class Conv2D final : public Layer {
 
  private:
   ConvGeom geom(const std::vector<std::int64_t>& in_shape) const;
+  void backward_impl(const Tensor& in, const Tensor& grad_out,
+                     Tensor* grad_in, Workspace& ws);
 
   std::int64_t in_channels_, out_channels_, k_, stride_, pad_;
   Param weight_;  // [out_c, in_c*k*k]
   Param bias_;    // [out_c]
+  // The input whose lowering the last training forward left in workspace
+  // `lowered_ws_`; lowered_in_ is null after any other forward.
+  std::uint64_t lowered_ws_ = 0;
+  const float* lowered_in_ = nullptr;
+  std::vector<std::int64_t> lowered_shape_;
 };
 
 }  // namespace dnnspmv

@@ -36,10 +36,18 @@ void Dense::forward(const Tensor& in, Tensor& out, bool, Workspace&) {
                     bias_.value.data());
 }
 
-void Dense::backward(const Tensor& in, const Tensor&, const Tensor& grad_out,
-                     Tensor& grad_in, Workspace&) {
-  const std::int64_t batch = in.dim(0);
+void Dense::backward(const Tensor& in, const Tensor& out,
+                     const Tensor& grad_out, Tensor& grad_in, Workspace& ws) {
+  backward_params(in, out, grad_out, ws);
   grad_in.ensure(in.shape());
+  // dIn = go * W
+  sgemm(in.dim(0), in_features_, out_features_, 1.0f, grad_out.data(),
+        weight_.value.data(), 0.0f, grad_in.data());
+}
+
+void Dense::backward_params(const Tensor& in, const Tensor&,
+                            const Tensor& grad_out, Workspace&) {
+  const std::int64_t batch = in.dim(0);
   // dW[o, i] += sum_b go[b, o] * in[b, i]  (= go^T * in)
   sgemm_at(out_features_, in_features_, batch, 1.0f, grad_out.data(),
            in.data(), 1.0f, weight_.grad.data());
@@ -48,9 +56,6 @@ void Dense::backward(const Tensor& in, const Tensor&, const Tensor& grad_out,
     for (std::int64_t o = 0; o < out_features_; ++o)
       bias_.grad[o] += row[o];
   }
-  // dIn = go * W
-  sgemm(batch, in_features_, out_features_, 1.0f, grad_out.data(),
-        weight_.value.data(), 0.0f, grad_in.data());
 }
 
 }  // namespace dnnspmv

@@ -16,6 +16,9 @@ class Dense final : public Layer {
                Workspace& ws) override;
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,
                 Tensor& grad_in, Workspace& ws) override;
+  /// Skips the input-gradient GEMM.
+  void backward_params(const Tensor& in, const Tensor& out,
+                       const Tensor& grad_out, Workspace& ws) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   std::string name() const override { return "dense"; }
   std::vector<std::int64_t> output_shape(

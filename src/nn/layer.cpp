@@ -7,6 +7,12 @@ Workspace& Layer::scratch() {
   return *scratch_;
 }
 
+void Layer::backward_params(const Tensor& in, const Tensor& out,
+                            const Tensor& grad_out, Workspace& ws) {
+  Tensor discarded;
+  backward(in, out, grad_out, discarded, ws);
+}
+
 void zero_grads(const std::vector<Param*>& ps) {
   for (Param* p : ps) p->grad.zero();
 }

@@ -54,6 +54,12 @@ class Layer {
                         const Tensor& grad_out, Tensor& grad_in,
                         Workspace& ws) = 0;
 
+  /// backward() for a caller that discards grad_in: accumulates the
+  /// parameter gradients only. Layers that can skip building the input
+  /// gradient override it; the default runs backward() and drops grad_in.
+  virtual void backward_params(const Tensor& in, const Tensor& out,
+                               const Tensor& grad_out, Workspace& ws);
+
   /// Convenience overloads using this layer's own fallback workspace.
   /// (Derived classes re-expose them with `using Layer::forward;`.)
   void forward(const Tensor& in, Tensor& out, bool training) {

@@ -23,6 +23,10 @@ obs::Histogram& backward_hist() {
   return h;
 }
 
+// Arena tensor slots of the backward pass.
+constexpr int kGradMergedSlot = 0;  // gradient of the concatenated codes
+constexpr int kGradSliceSlot = 1;   // one tower's slice of it
+
 }  // namespace
 
 MergeNet::MergeNet() { add_head(); }
@@ -80,6 +84,25 @@ void MergeNet::forward(const std::vector<Tensor>& inputs, Tensor& logits,
   logits = head_out_;
 }
 
+void MergeNet::forward_codes(const Tensor& codes,
+                             const std::vector<std::int32_t>& rows,
+                             Tensor& logits, bool training, Workspace& ws,
+                             std::size_t head) {
+  obs::Span span("nn.forward", &forward_hist());
+  DNNSPMV_CHECK_MSG(head < heads_.size(),
+                    "head " << head << " of " << heads_.size());
+  const std::int64_t feat = codes.dim(1);
+  merged_.ensure({static_cast<std::int64_t>(rows.size()), feat});
+  for (std::size_t b = 0; b < rows.size(); ++b) {
+    const float* src = codes.data() + rows[b] * feat;
+    std::copy(src, src + feat,
+              merged_.data() + static_cast<std::int64_t>(b) * feat);
+  }
+  head_run_ = head;
+  heads_[head]->forward(merged_, head_out_, training, ws);
+  logits = head_out_;
+}
+
 void MergeNet::backward(const std::vector<Tensor>& inputs,
                         const Tensor& grad_logits) {
   backward(inputs, grad_logits, ws_);
@@ -88,24 +111,27 @@ void MergeNet::backward(const std::vector<Tensor>& inputs,
 void MergeNet::backward(const std::vector<Tensor>& inputs,
                         const Tensor& grad_logits, Workspace& ws) {
   obs::Span span("nn.backward", &backward_hist());
-  Tensor grad_merged;
+  // Frozen towers take no optimizer step and read no gradient, so top
+  // evolvement pays only for the head's parameter gradients.
+  if (towers_frozen()) {
+    heads_[head_run_]->backward_params(merged_, head_out_, grad_logits, ws);
+    return;
+  }
+  Tensor& grad_merged = ws.arena().tensor(this, kGradMergedSlot);
   heads_[head_run_]->backward(merged_, head_out_, grad_logits, grad_merged,
                               ws);
-  // Frozen towers take no optimizer step and their input gradient is
-  // unused, so top evolvement pays only for the head's backward pass.
-  if (towers_frozen()) return;
-
   const std::int64_t batch = merged_.dim(0);
   const std::int64_t total = merged_.dim(1);
+  Tensor& gslice = ws.arena().tensor(this, kGradSliceSlot);
   for (std::size_t t = 0, off = 0; t < towers_.size(); ++t) {
     const std::int64_t feat = tower_out_[t].size() / batch;
-    Tensor gslice(tower_out_[t].shape());
+    gslice.ensure(tower_out_[t].shape());
     for (std::int64_t b = 0; b < batch; ++b) {
       const float* src = grad_merged.data() + b * total + off;
       std::copy(src, src + feat, gslice.data() + b * feat);
     }
-    Tensor gin;  // input gradient unused — inputs are data, not activations
-    towers_[t]->backward(inputs[t], tower_out_[t], gslice, gin, ws);
+    // The inputs are data, not activations: no gradient for them.
+    towers_[t]->backward_params(inputs[t], tower_out_[t], gslice, ws);
     off += static_cast<std::size_t>(feat);
   }
 }
@@ -143,11 +169,11 @@ void MergeNet::codes(const std::vector<Tensor>& inputs, Tensor& out) {
 }
 
 void MergeNet::codes(const std::vector<Tensor>& inputs, Tensor& out,
-                     Workspace& ws) {
+                     Workspace& ws, bool training) {
   DNNSPMV_CHECK(inputs.size() == towers_.size());
   tower_out_.resize(towers_.size());
   for (std::size_t t = 0; t < towers_.size(); ++t)
-    towers_[t]->forward(inputs[t], tower_out_[t], /*training=*/false, ws);
+    towers_[t]->forward(inputs[t], tower_out_[t], training, ws);
   flatten_tower_outputs(out);
 }
 

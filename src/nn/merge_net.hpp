@@ -15,12 +15,12 @@
 // label distribution, extra heads over the same towers answer other label
 // sets (FormatSelector's SpMM head) without a second set of towers.
 //
-// Thread safety: forward()/backward()/codes() share mutable per-forward
-// scratch (tower_out_, merged_, head_out_ and the Sequential activation
-// caches), so a MergeNet instance is NOT re-entrant — concurrent callers
-// must serialize. FormatSelector holds the inference mutex that makes its
-// predict paths safe (selector.hpp); anything driving a MergeNet directly
-// owes the same care.
+// Thread safety: the forward passes, backward() and codes() share mutable
+// per-forward scratch (tower_out_, merged_, head_out_ and the Sequential
+// activation caches), so a MergeNet instance is NOT re-entrant — concurrent
+// callers must serialize. FormatSelector holds the inference mutex that
+// makes its predict paths safe (selector.hpp); anything driving a MergeNet
+// directly owes the same care.
 #pragma once
 
 #include <memory>
@@ -59,9 +59,18 @@ class MergeNet {
   void forward(const std::vector<Tensor>& inputs, Tensor& logits,
                bool training, Workspace& ws, std::size_t head = 0);
 
+  /// Forward through head `head` from precomputed codes: rows `rows` of
+  /// `codes` [samples, features], as codes() returns them, make the batch.
+  /// Gives the same logits as forward() on those samples' inputs, without
+  /// running the towers; backward() then needs frozen towers.
+  void forward_codes(const Tensor& codes,
+                     const std::vector<std::int32_t>& rows, Tensor& logits,
+                     bool training, Workspace& ws, std::size_t head = 0);
+
   /// Backward from logits gradient through the head the last forward ran;
   /// parameter gradients accumulate. When every tower parameter is frozen,
   /// only the head runs backward and the towers' gradients stay untouched.
+  /// No layer builds a gradient for the network's inputs.
   void backward(const std::vector<Tensor>& inputs, const Tensor& grad_logits);
   void backward(const std::vector<Tensor>& inputs, const Tensor& grad_logits,
                 Workspace& ws);
@@ -76,14 +85,18 @@ class MergeNet {
   /// trainable (top evolvement).
   void freeze_towers(std::size_t train_head = 0);
   void unfreeze_all();
+  /// True when every tower parameter is frozen.
+  bool towers_frozen();
 
   /// The concatenated flattened tower outputs for a batch ("CNN codes").
+  /// `training` runs the towers' training forward, the one forward() runs
+  /// in training.
   void codes(const std::vector<Tensor>& inputs, Tensor& out);
-  void codes(const std::vector<Tensor>& inputs, Tensor& out, Workspace& ws);
+  void codes(const std::vector<Tensor>& inputs, Tensor& out, Workspace& ws,
+             bool training = false);
 
  private:
   void flatten_tower_outputs(Tensor& merged);
-  bool towers_frozen();
 
   std::vector<std::unique_ptr<Sequential>> towers_;
   std::vector<std::unique_ptr<Sequential>> heads_;

@@ -70,34 +70,67 @@ void MaxPool2D::forward(const Tensor& in, Tensor& out, bool training,
   argmax_valid_ = true;
 }
 
+namespace {
+
+// Folds one window element into the running maximum: a strictly greater
+// value takes over, so the first maximum in window order wins.
+inline void take(float v, std::int32_t i, float& best, std::int32_t& besti) {
+  if (v > best) {
+    best = v;
+    besti = i;
+  }
+}
+
+}  // namespace
+
 void MaxPool2D::record_argmax(const Tensor& in, Tensor& out) {
   const std::int64_t planes = in.dim(0) * in.dim(1);
   const std::int64_t h = in.dim(2), w = in.dim(3);
   const std::int64_t oh = out.dim(2), ow = out.dim(3);
-  argmax_.assign(static_cast<std::size_t>(out.size()), 0);
+  argmax_.resize(static_cast<std::size_t>(out.size()));
 
+  // Every window starts from -1e30 at plane offset 0 and takes its values
+  // in row-major window order.
 #pragma omp parallel for schedule(static)
   for (std::int64_t pl = 0; pl < planes; ++pl) {
     const float* src = in.data() + pl * h * w;
     float* dst = out.data() + pl * oh * ow;
     std::int32_t* arg = argmax_.data() + pl * oh * ow;
+    if (k_ == 2 && stride_ == 2) {
+      // 2×2/2 window: the same four compares, unrolled.
+      for (std::int64_t y = 0; y < oh; ++y) {
+        const float* r0 = src + 2 * y * w;
+        const float* r1 = r0 + w;
+        const auto i0 = static_cast<std::int32_t>(2 * y * w);
+        const auto iw = static_cast<std::int32_t>(w);
+        for (std::int64_t x = 0; x < ow; ++x) {
+          const std::int32_t i = i0 + 2 * static_cast<std::int32_t>(x);
+          float best = -1e30f;
+          std::int32_t besti = 0;
+          take(r0[2 * x], i, best, besti);
+          take(r0[2 * x + 1], i + 1, best, besti);
+          take(r1[2 * x], i + iw, best, besti);
+          take(r1[2 * x + 1], i + iw + 1, best, besti);
+          dst[y * ow + x] = best;
+          arg[y * ow + x] = besti;
+        }
+      }
+      continue;
+    }
     for (std::int64_t y = 0; y < oh; ++y) {
       for (std::int64_t x = 0; x < ow; ++x) {
         float best = -1e30f;
-        std::int64_t besti = 0;
+        std::int32_t besti = 0;
         for (std::int64_t dy = 0; dy < k_; ++dy) {
           const std::int64_t iy = y * stride_ + dy;
           for (std::int64_t dx = 0; dx < k_; ++dx) {
             const std::int64_t ix = x * stride_ + dx;
-            const std::int64_t idx = iy * w + ix;
-            if (src[idx] > best) {
-              best = src[idx];
-              besti = idx;
-            }
+            take(src[iy * w + ix], static_cast<std::int32_t>(iy * w + ix),
+                 best, besti);
           }
         }
         dst[y * ow + x] = best;
-        arg[y * ow + x] = static_cast<std::int32_t>(besti);
+        arg[y * ow + x] = besti;
       }
     }
   }

@@ -33,21 +33,37 @@ void Sequential::forward(const Tensor& in, Tensor& out, bool training,
 void Sequential::backward(const Tensor& in, const Tensor&,
                           const Tensor& grad_out, Tensor& grad_in,
                           Workspace& ws) {
+  backward_through(in, grad_out, &grad_in, ws);
+}
+
+void Sequential::backward_params(const Tensor& in, const Tensor&,
+                                 const Tensor& grad_out, Workspace& ws) {
+  backward_through(in, grad_out, nullptr, ws);
+}
+
+void Sequential::backward_through(const Tensor& in, const Tensor& grad_out,
+                                  Tensor* grad_in, Workspace& ws) {
   DNNSPMV_CHECK_MSG(acts_.size() == layers_.size(),
                     "backward without matching forward");
   const bool traced = obs::enabled();
   if (traced) ensure_span_names();
-  Tensor grad = grad_out;
-  Tensor next;
+  // Layer i reads the gradient layer i+1 wrote. The gradients in between
+  // alternate between two tensors of ws's arena, which keep their storage
+  // from step to step.
+  const Tensor* grad = &grad_out;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     obs::Span span(traced ? std::string_view(span_bwd_[i])
                           : std::string_view());
     const Tensor& input = (i == 0) ? in : acts_[i - 1];
-    layers_[i]->backward(input, acts_[i], grad, next, ws);
-    grad = std::move(next);
-    next = Tensor();
+    if (i == 0 && !grad_in) {
+      layers_[0]->backward_params(input, acts_[0], *grad, ws);
+      return;
+    }
+    Tensor& next = (i == 0) ? *grad_in
+                            : ws.arena().tensor(this, static_cast<int>(i % 2));
+    layers_[i]->backward(input, acts_[i], *grad, next, ws);
+    grad = &next;
   }
-  grad_in = std::move(grad);
 }
 
 std::vector<Param*> Sequential::params() {

@@ -2,7 +2,7 @@
 // backward can replay the forward pass. One Workspace (the layer's own
 // fallback, or whatever the caller threads in) is shared by every layer in
 // the stack, so a whole forward/backward pass reuses one set of scratch
-// buffers.
+// buffers, the gradients passed between layers included.
 #pragma once
 
 #include <memory>
@@ -35,6 +35,9 @@ class Sequential final : public Layer {
                Workspace& ws) override;
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,
                 Tensor& grad_in, Workspace& ws) override;
+  /// The first layer builds no input gradient.
+  void backward_params(const Tensor& in, const Tensor& out,
+                       const Tensor& grad_out, Workspace& ws) override;
   std::vector<Param*> params() override;
   std::string name() const override { return "sequential"; }
   std::vector<std::int64_t> output_shape(
@@ -48,6 +51,10 @@ class Sequential final : public Layer {
   // first traced pass needs; called only when obs tracing is enabled so
   // untraced passes never pay the string work.
   void ensure_span_names();
+
+  // Backward from the last layer to the first, into *grad_in when given.
+  void backward_through(const Tensor& in, const Tensor& grad_out,
+                        Tensor* grad_in, Workspace& ws);
 
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<Tensor> acts_;  // activations: acts_[i] = output of layer i

@@ -1,4 +1,4 @@
-// Sharded LRU prediction cache: fingerprint -> candidate-format index.
+// Sharded LRU prediction cache: matrix key -> candidate-format index.
 //
 // Each shard is an intrusive-list LRU guarded by its own mutex; a key's
 // shard is fixed by its high hash bits, so two threads touching different
@@ -7,9 +7,10 @@
 // standard trade for shard-local locking).
 //
 // The value type is the selector's candidate index (std::int32_t), not a
-// Format: a cache is only meaningful relative to one trained selector, and
-// the index is what the batcher produces. Hit/miss/insert/evict counters
-// are maintained internally and surfaced via stats().
+// Format: an entry is only meaningful relative to the weights that filled
+// it, which its key must name, and the index is what the batcher produces.
+// Hit/miss/insert/evict counters are maintained internally and surfaced via
+// stats().
 #pragma once
 
 #include <cstdint>
@@ -82,7 +83,9 @@ class ShardedLruCache {
   std::vector<std::unique_ptr<LruShard>> shards_;
 };
 
-/// The cache type the selection pipeline shares (service, AdaptiveSpmv).
+/// The cache type of the selection pipeline: SelectionService keys it by
+/// op-scoped, versioned structural fingerprint, AdaptiveSpmv by pattern_key
+/// and the selector's weights_id().
 using PredictionCache = ShardedLruCache;
 
 }  // namespace dnnspmv

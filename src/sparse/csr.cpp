@@ -4,27 +4,68 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 
 namespace dnnspmv {
 
-void Csr::validate() const {
-  DNNSPMV_CHECK(rows >= 0 && cols >= 0);
-  DNNSPMV_CHECK_MSG(ptr.size() == static_cast<std::size_t>(rows) + 1,
-                    "ptr size " << ptr.size() << " != rows+1");
-  DNNSPMV_CHECK(ptr.front() == 0);
-  DNNSPMV_CHECK(ptr.back() == nnz());
-  DNNSPMV_CHECK(idx.size() == val.size());
-  for (index_t r = 0; r < rows; ++r) {
-    DNNSPMV_CHECK_MSG(ptr[r] <= ptr[r + 1] && ptr[r + 1] <= nnz(),
-                      "ptr not monotone or past nnz at row " << r);
-    for (std::int64_t j = ptr[r]; j < ptr[r + 1]; ++j) {
-      DNNSPMV_CHECK_MSG(idx[j] >= 0 && idx[j] < cols,
-                        "column " << idx[j] << " out of range in row " << r);
-      if (j > ptr[r])
-        DNNSPMV_CHECK_MSG(idx[j] > idx[j - 1],
-                          "unsorted/duplicate column in row " << r);
+void Csr::validate() const { pattern_key(*this); }
+
+namespace {
+
+// One multiply-xorshift round. For a fixed word it is a bijection of the
+// state, so two walks that differ in one word end in different keys.
+inline std::uint64_t mix_word(std::uint64_t h, std::uint64_t v) {
+  h = (h ^ v) * 0x9fb21c651e98df25ULL;
+  return h ^ (h >> 28);
+}
+
+}  // namespace
+
+std::uint64_t pattern_key(const Csr& a) {
+  DNNSPMV_CHECK_ERRC(a.rows >= 0 && a.cols >= 0, errc::invalid_argument,
+                     "negative dimensions " << a.rows << 'x' << a.cols);
+  DNNSPMV_CHECK_ERRC(a.ptr.size() == static_cast<std::size_t>(a.rows) + 1,
+                     errc::invalid_argument,
+                     "ptr size " << a.ptr.size() << " != rows+1");
+  DNNSPMV_CHECK_ERRC(a.idx.size() == a.val.size(), errc::invalid_argument,
+                     "idx size " << a.idx.size() << " != val size "
+                                 << a.val.size());
+  const std::int64_t nnz = a.nnz();
+  DNNSPMV_CHECK_ERRC(a.ptr.front() == 0 && a.ptr.back() == nnz,
+                     errc::invalid_argument,
+                     "ptr must run from 0 to nnz " << nnz);
+  const std::int64_t* ptr = a.ptr.data();
+  const index_t* idx = a.idx.data();
+  std::uint64_t h = mix_word(mix_word(static_cast<std::uint64_t>(a.rows),
+                                      static_cast<std::uint64_t>(a.cols)),
+                             static_cast<std::uint64_t>(nnz));
+  for (index_t r = 0; r < a.rows; ++r) {
+    const std::int64_t end = ptr[r + 1];
+    DNNSPMV_CHECK_ERRC(ptr[r] <= end && end <= nnz, errc::invalid_argument,
+                       "ptr not monotone or past nnz at row " << r);
+    h = mix_word(h, static_cast<std::uint64_t>(end));
+    // Columns must rise strictly from -1, so only the row's last one needs
+    // the upper bound. Two columns per hashed word.
+    index_t prev = -1;
+    bool bad = false;
+    std::int64_t j = ptr[r];
+    for (; j + 1 < end; j += 2) {
+      const index_t c0 = idx[j], c1 = idx[j + 1];
+      bad |= (c0 <= prev) | (c1 <= c0);
+      prev = c1;
+      const std::uint64_t lo = static_cast<std::uint32_t>(c0);
+      const std::uint64_t hi = static_cast<std::uint32_t>(c1);
+      h = mix_word(h, lo | hi << 32);
     }
+    if (j < end) {
+      bad |= idx[j] <= prev;
+      prev = idx[j];
+      h = mix_word(h, static_cast<std::uint32_t>(prev));
+    }
+    DNNSPMV_CHECK_ERRC(!bad && prev < a.cols, errc::invalid_argument,
+                       "row " << r << ": column out of range or out of order");
   }
+  return splitmix64(h);
 }
 
 std::int64_t Csr::bytes() const {

@@ -30,13 +30,20 @@ struct Csr {
 
   std::int64_t row_nnz(index_t r) const { return ptr[r + 1] - ptr[r]; }
 
-  /// Throws if the structure is inconsistent (bad ptr, unsorted or
-  /// out-of-range columns, duplicates).
+  /// Throws errc::invalid_argument if the structure is inconsistent (bad
+  /// ptr, unsorted or out-of-range columns, duplicates): pattern_key's walk.
   void validate() const;
 
   /// Storage footprint in bytes (values + indices + row pointers).
   std::int64_t bytes() const;
 };
+
+/// 64-bit key of the sparsity pattern: dimensions, `ptr` and `idx`, not
+/// the values. Equal patterns give equal keys; distinct ones share a key
+/// only by hash collision. The same walk makes validate()'s checks, before
+/// any index is used, and throws errc::invalid_argument on a malformed
+/// matrix.
+std::uint64_t pattern_key(const Csr& a);
 
 /// Builds a Csr from unordered triplets; duplicates are summed.
 Csr csr_from_triplets(index_t rows, index_t cols,

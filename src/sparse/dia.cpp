@@ -8,17 +8,19 @@
 namespace dnnspmv {
 
 std::optional<Dia> dia_from_csr(const Csr& a, double max_fill) {
+  // slot[c - r + rows - 1]: the diagonal slot of offset c - r, or -1 where
+  // no nonzero lies on that diagonal. Slots follow offset order.
+  std::vector<index_t> slot(static_cast<std::size_t>(a.rows) + a.cols, -1);
+  for (index_t r = 0; r < a.rows; ++r)
+    for (std::int64_t j = a.ptr[r]; j < a.ptr[r + 1]; ++j)
+      slot[static_cast<std::size_t>(a.idx[j] - r + a.rows - 1)] = 0;
   std::vector<index_t> offsets;
-  {
-    std::vector<bool> seen(static_cast<std::size_t>(a.rows) + a.cols, false);
-    for (index_t r = 0; r < a.rows; ++r)
-      for (std::int64_t j = a.ptr[r]; j < a.ptr[r + 1]; ++j)
-        seen[static_cast<std::size_t>(a.idx[j] - r + a.rows - 1)] = true;
-    for (std::size_t k = 0; k < seen.size(); ++k)
-      if (seen[k])
-        offsets.push_back(static_cast<index_t>(static_cast<std::int64_t>(k) -
-                                               a.rows + 1));
-  }
+  for (std::size_t k = 0; k < slot.size(); ++k)
+    if (slot[k] == 0) {
+      slot[k] = static_cast<index_t>(offsets.size());
+      offsets.push_back(
+          static_cast<index_t>(static_cast<std::int64_t>(k) - a.rows + 1));
+    }
   const double padded = static_cast<double>(offsets.size()) * a.rows;
   if (a.nnz() > 0 && padded > max_fill * static_cast<double>(a.nnz()))
     return std::nullopt;
@@ -28,15 +30,10 @@ std::optional<Dia> dia_from_csr(const Csr& a, double max_fill) {
   m.cols = a.cols;
   m.offsets = std::move(offsets);
   m.data.assign(m.offsets.size() * static_cast<std::size_t>(a.rows), 0.0);
-  // offset -> slot index; offsets are sorted so binary search suffices.
   for (index_t r = 0; r < a.rows; ++r) {
-    for (std::int64_t j = a.ptr[r]; j < a.ptr[r + 1]; ++j) {
-      const index_t off = a.idx[j] - r;
-      const auto it =
-          std::lower_bound(m.offsets.begin(), m.offsets.end(), off);
-      const std::size_t d = static_cast<std::size_t>(it - m.offsets.begin());
-      m.data[d * a.rows + r] = a.val[j];
-    }
+    const index_t* d = slot.data() + (a.rows - 1 - r);  // d[c]: slot of (r, c)
+    for (std::int64_t j = a.ptr[r]; j < a.ptr[r + 1]; ++j)
+      m.data[static_cast<std::size_t>(d[a.idx[j]]) * a.rows + r] = a.val[j];
   }
   return m;
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 namespace dnnspmv {
 namespace {
@@ -72,6 +73,83 @@ TEST(AdaptiveSpmv, ExplicitFormatConstructor) {
   EXPECT_FALSE(op.fell_back());
   EXPECT_EQ(op.rows(), 50);
   EXPECT_GT(op.bytes(), 0);
+}
+
+// The cache key names the weights, not the selector object: a selector
+// refitted in place misses the entries its old weights filled and answers
+// with the new model's pick.
+TEST(AdaptiveSpmv, RefitInPlaceMissesTheCache) {
+  CorpusSpec spec;
+  spec.count = 60;
+  spec.min_dim = 48;
+  spec.max_dim = 128;
+  const auto corpus = build_corpus(spec);
+  const auto platform = make_analytic_cpu(intel_xeon_params());
+  std::vector<LabeledMatrix> labeled = collect_labels(corpus, *platform);
+  SelectorOptions opts;
+  opts.rep_rows = 16;
+  opts.rep_bins = 8;
+  opts.train.epochs = 5;
+  FormatSelector sel(opts);
+  sel.fit(labeled, platform->formats());
+
+  Rng rng(5);
+  const Csr a = gen_banded(120, 120, 2, 1.0, rng);
+  PredictionCache cache(16, 2);
+  EXPECT_FALSE(AdaptiveSpmv(sel, a, &cache).cache_hit());
+  EXPECT_TRUE(AdaptiveSpmv(sel, a, &cache).cache_hit());
+
+  // Relabel everything as one format the old model does not pick for `a`;
+  // CSR and COO accept every matrix, so no fallback hides the pick.
+  const Format old_pick = sel.predict(a);
+  const Format target = old_pick == Format::kCsr ? Format::kCoo : Format::kCsr;
+  for (LabeledMatrix& lm : labeled)
+    lm.label = sel.candidate_index(target);
+  const std::uint64_t old_id = sel.weights_id();
+  sel.fit(labeled, platform->formats());
+  EXPECT_NE(sel.weights_id(), old_id);
+  ASSERT_EQ(sel.predict(a), target);
+  const AdaptiveSpmv after(sel, a, &cache);
+  EXPECT_FALSE(after.cache_hit());
+  EXPECT_EQ(after.format(), target);
+  EXPECT_TRUE(AdaptiveSpmv(sel, a, &cache).cache_hit());
+}
+
+// Reassigning a selector (load, clone) also gives it weights of a new
+// identity, so the cache misses once and then hits again.
+TEST(AdaptiveSpmv, ReassignedSelectorMissesTheCache) {
+  FormatSelector sel = tiny_selector();
+  Rng rng(6);
+  const Csr a = gen_powerlaw(90, 90, 4.0, 1.6, rng);
+  PredictionCache cache(16, 2);
+  const AdaptiveSpmv first(sel, a, &cache);
+  const std::string path = ::testing::TempDir() + "/adaptive_reload.bin";
+  sel.save(path);
+  sel = FormatSelector::load(path);
+  std::remove(path.c_str());
+  const AdaptiveSpmv reloaded(sel, a, &cache);
+  EXPECT_FALSE(reloaded.cache_hit());
+  EXPECT_EQ(reloaded.format(), first.format());  // the same weights
+  EXPECT_TRUE(AdaptiveSpmv(sel, a, &cache).cache_hit());
+  const FormatSelector copy = sel.clone();
+  EXPECT_NE(copy.weights_id(), sel.weights_id());
+  EXPECT_FALSE(AdaptiveSpmv(copy, a, &cache).cache_hit());
+}
+
+TEST(AdaptiveSpmv, CachedConstructionRejectsMalformedMatrix) {
+  const FormatSelector sel = tiny_selector();
+  Rng rng(7);
+  Csr a = gen_banded(40, 40, 1, 1.0, rng);
+  ASSERT_GE(a.row_nnz(0), 2);
+  std::swap(a.idx[0], a.idx[1]);  // row 0's columns out of order
+  PredictionCache cache(16, 2);
+  try {
+    const AdaptiveSpmv op(sel, a, &cache);
+    ADD_FAILURE() << "malformed matrix accepted";
+  } catch (const DnnspmvError& e) {
+    EXPECT_EQ(e.code(), errc::invalid_argument);
+  }
+  EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(AdaptiveSpmv, RecordsOneTimeCosts) {

@@ -2,6 +2,13 @@
 // refusal conditions, and kernel determinism.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <set>
+#include <tuple>
+
+#include "common/error.hpp"
+#include "gen/corpus.hpp"
 #include "gen/generators.hpp"
 #include "sparse/spmv.hpp"
 
@@ -191,6 +198,105 @@ TEST(Edge, BytesAccountingPositiveAndOrdered) {
   EXPECT_GT(csr->bytes(), 0);
   // COO stores explicit row indices → strictly more bytes than CSR here.
   EXPECT_GT(coo->bytes(), csr->bytes());
+}
+
+// --- pattern_key: validation walk and exact pattern key --------------------
+
+errc key_error(const Csr& a) {
+  try {
+    (void)pattern_key(a);
+    return errc::ok;
+  } catch (const DnnspmvError& e) {
+    return e.code();
+  }
+}
+
+// A 3x4 matrix with two nonzeros per row, then one defect per case.
+TEST(PatternKey, RejectsEveryClassOfMalformedCsr) {
+  const Csr good = [] {
+    Csr a;
+    a.rows = 3;
+    a.cols = 4;
+    a.ptr = {0, 2, 4, 6};
+    a.idx = {0, 2, 1, 3, 0, 3};
+    a.val = {1, 2, 3, 4, 5, 6};
+    return a;
+  }();
+  ASSERT_EQ(key_error(good), errc::ok);
+  using Defect = std::function<void(Csr&)>;
+  const std::pair<const char*, Defect> cases[] = {
+      {"negative rows", [](Csr& a) { a.rows = -1; }},
+      {"negative cols", [](Csr& a) { a.cols = -1; }},
+      {"ptr too short", [](Csr& a) { a.ptr.pop_back(); }},
+      {"ptr too long", [](Csr& a) { a.ptr.push_back(6); }},
+      {"ptr not from 0", [](Csr& a) { a.ptr[0] = 1; }},
+      {"ptr not to nnz", [](Csr& a) { a.ptr[3] = 5; }},
+      {"ptr not monotone", [](Csr& a) { a.ptr[2] = 1; }},
+      {"ptr past nnz", [](Csr& a) { a.ptr[2] = 7; }},
+      {"idx/val sizes", [](Csr& a) { a.val.pop_back(); }},
+      {"negative column", [](Csr& a) { a.idx[0] = -1; }},
+      {"column past cols", [](Csr& a) { a.idx[5] = 4; }},
+      {"unsorted columns", [](Csr& a) { std::swap(a.idx[2], a.idx[3]); }},
+      {"duplicate column", [](Csr& a) { a.idx[1] = 0; }},
+  };
+  for (const auto& [what, defect] : cases) {
+    Csr a = good;
+    defect(a);
+    EXPECT_EQ(key_error(a), errc::invalid_argument) << what;
+    EXPECT_THROW(a.validate(), DnnspmvError) << what;
+  }
+}
+
+bool same_pattern(const Csr& a, const Csr& b) {
+  return a.rows == b.rows && a.cols == b.cols && a.ptr == b.ptr &&
+         a.idx == b.idx;
+}
+
+// Over a corpus of structure-class matrices and their augmented
+// derivatives, plus a value-only copy and a one-column variant of each,
+// two keys are equal exactly when the patterns are.
+TEST(PatternKey, KeysAreEqualExactlyWhenPatternsAre) {
+  CorpusSpec spec;
+  spec.count = 512;
+  spec.min_dim = 48;
+  spec.max_dim = 256;
+  spec.seed = 7;
+  std::vector<Csr> pool;
+  for (CorpusEntry& e : build_corpus(spec)) {
+    Csr values = e.matrix;
+    for (double& v : values.val) v = -2.0 * v + 1.0;
+    pool.push_back(std::move(values));
+    // The last nonzero moved one column left when that leaves a pattern.
+    Csr moved = e.matrix;
+    for (index_t r = moved.rows; r-- > 0;) {
+      const std::int64_t j = moved.ptr[r + 1] - 1;
+      if (j < moved.ptr[r] || moved.idx[j] == 0) continue;
+      if (j > moved.ptr[r] && moved.idx[j - 1] == moved.idx[j] - 1) continue;
+      --moved.idx[j];
+      pool.push_back(std::move(moved));
+      break;
+    }
+    pool.push_back(std::move(e.matrix));
+  }
+  // Key equality implies pattern equality: no two distinct patterns share
+  // a key.
+  std::map<std::uint64_t, const Csr*> by_key;
+  for (const Csr& a : pool) {
+    const auto [it, fresh] = by_key.emplace(pattern_key(a), &a);
+    EXPECT_TRUE(fresh || same_pattern(*it->second, a))
+        << "distinct patterns share a key";
+  }
+  // As many keys as patterns, so equal patterns share their key. Every
+  // matrix's value-only copy makes such a pair.
+  const auto pattern_less = [](const Csr* a, const Csr* b) {
+    return std::tie(a->rows, a->cols, a->ptr, a->idx) <
+           std::tie(b->rows, b->cols, b->ptr, b->idx);
+  };
+  std::set<const Csr*, decltype(pattern_less)> patterns(pattern_less);
+  for (const Csr& a : pool) patterns.insert(&a);
+  EXPECT_EQ(by_key.size(), patterns.size());
+  EXPECT_LE(patterns.size() + static_cast<std::size_t>(spec.count),
+            pool.size());
 }
 
 }  // namespace
