@@ -160,7 +160,8 @@ ServiceRun run_service(const FormatSelector& sel, const Workload& w,
   opts.num_workers = 2;
   opts.max_batch = max_batch;
   opts.cache_capacity = 4096;
-  SelectionService service(sel, opts);
+  ModelRegistry registry(sel.clone());
+  SelectionService service(registry, opts);
 
   Timer t;
   std::vector<std::thread> clients;
@@ -214,7 +215,8 @@ OverloadResult run_overload(const FormatSelector& sel,
   opts.shed_watermark = 0.5;
   opts.push_retries = 2;
   opts.push_backoff_us = 50;
-  SelectionService service(sel, opts);
+  ModelRegistry registry(sel.clone());
+  SelectionService service(registry, opts);
 
   fault::Plan slow;   // every forward drags: the CNN path is saturated
   slow.delay_prob = 1.0;
@@ -240,7 +242,7 @@ OverloadResult run_overload(const FormatSelector& sel,
             corpus[static_cast<std::size_t>(c) * per + i].matrix;
         Timer t;
         try {
-          (void)service.predict_index(a, deadline);
+          (void)service.predict_index(a, SpOp::kSpmv, deadline);
           ++answered;
         } catch (const DnnspmvError& e) {
           if (e.code() == errc::deadline_exceeded)
@@ -291,7 +293,8 @@ ScalingRun run_scaling(const FormatSelector& sel,
   opts.service.num_workers = 1;
   opts.service.queue_capacity = 512;
   opts.service.shed_watermark = 2.0;  // never shed: measure inference
-  ReplicaRouter router(sel, opts);
+  ModelRegistry registry(sel.clone());
+  ReplicaRouter router(registry, opts);
 
   const int clients = std::max(2, 2 * replicas);
   std::atomic<std::size_t> next{0};
@@ -340,7 +343,8 @@ StragglerRun run_straggler(const FormatSelector& sel,
   opts.service.num_workers = 1;
   opts.service.shed_watermark = 2.0;
   opts.injectors = {&straggler, nullptr};
-  ReplicaRouter router(sel, opts);
+  ModelRegistry registry(sel.clone());
+  ReplicaRouter router(registry, opts);
 
   requests = std::min(requests, corpus.size());
   std::vector<double> lat_us;
@@ -627,8 +631,10 @@ int run(int argc, char** argv) {
   const std::string default_threads = [] {
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     std::string s;
-    for (unsigned t = 1; t <= hw && t <= 8; t *= 2)
-      s += (s.empty() ? "" : ",") + std::to_string(t);
+    for (unsigned t = 1; t <= hw && t <= 8; t *= 2) {
+      if (!s.empty()) s += ',';
+      s += std::to_string(t);
+    }
     return s;
   }();
   const std::vector<int> threads =
@@ -686,8 +692,7 @@ int run(int argc, char** argv) {
           "%8d %8d %12.0f %8.1fx %8.1f%% %10.2f %9.0fus %9.0fus %9.0fus\n",
           t, b, r.throughput, r.throughput / base,
           100.0 * r.stats.hit_rate(), r.stats.mean_batch(),
-          1e6 * r.stats.latency_quantile(0.50),
-          1e6 * r.stats.latency_quantile(0.95),
+          r.stats.latency.quantile(0.50), r.stats.latency.quantile(0.95),
           r.stats.rep_build.quantile(0.50));
       met_throughput |= r.throughput >= 3.0 * base;
       met_hits |= r.stats.hit_rate() >= 0.9;
@@ -706,8 +711,8 @@ int run(int argc, char** argv) {
       json.field("vs_baseline", r.throughput / base);
       json.field("hit_rate", r.stats.hit_rate());
       json.field("mean_batch", r.stats.mean_batch());
-      json.field("p50_latency_us", 1e6 * r.stats.latency_quantile(0.50));
-      json.field("p99_latency_us", 1e6 * r.stats.latency_quantile(0.99));
+      json.field("p50_latency_us", r.stats.latency.quantile(0.50));
+      json.field("p99_latency_us", r.stats.latency.quantile(0.99));
       // Miss-path representation build (serve<N>.rep_build_us): one sample
       // per cache miss, so count tracks misses and the quantiles isolate
       // the streaming builder's share of miss latency.

@@ -99,22 +99,24 @@ int main(int argc, char** argv) {
 
   // 2. The serving layer: sharded LRU cache in front, micro-batching
   //    workers behind a bounded queue — one service, or a router fanning
-  //    the keyspace over N replicas of that whole stack.
+  //    the keyspace over N replicas of that whole stack. Either serves the
+  //    registry's current version.
+  ModelRegistry registry(selector.clone());
   ServiceOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 16;
   opts.cache_capacity = 1024;
+  // Declared so that each dies before what it references: the trainer
+  // before the service, the service before its feedback stream and probe.
+  const auto drifted = make_analytic_cpu(amd_a8_params());
+  std::unique_ptr<FeedbackCollector> feedback;
   std::unique_ptr<SelectionService> service;
   std::unique_ptr<ReplicaRouter> router;
-  std::unique_ptr<ModelRegistry> registry;
-  std::unique_ptr<FeedbackCollector> feedback;
   std::unique_ptr<OnlineTrainer> trainer;
-  const auto drifted = make_analytic_cpu(amd_a8_params());
   if (online) {
     // The learning loop: sampled misses are probed against a platform the
     // selector was NOT trained on (drifted labels), the trainer fine-tunes
     // in the background, and workers hot-swap to each published version.
-    registry = std::make_unique<ModelRegistry>(selector.clone());
     feedback = std::make_unique<FeedbackCollector>(
         FeedbackOptions{.capacity = 256, .sample_every = 1,
                         .measure_reps = 1});
@@ -122,11 +124,11 @@ int main(int argc, char** argv) {
     opts.feedback_probe = [&drifted](const Csr& m) {
       return drifted->spmv_times(m);
     };
-    service = std::make_unique<SelectionService>(*registry, opts);
+    service = std::make_unique<SelectionService>(registry, opts);
     OnlineTrainerOptions topts;
     topts.min_batch = 32;
     topts.poll_interval_ms = 20;
-    trainer = std::make_unique<OnlineTrainer>(*registry, *feedback, topts);
+    trainer = std::make_unique<OnlineTrainer>(registry, *feedback, topts);
     trainer->start();
     std::printf("online loop armed: feedback probe measures a drifted "
                 "platform, trainer polls every %lld ms\n",
@@ -135,7 +137,7 @@ int main(int argc, char** argv) {
     RouterOptions ropts;
     ropts.replicas = replicas;
     ropts.service = opts;
-    router = std::make_unique<ReplicaRouter>(selector, ropts);
+    router = std::make_unique<ReplicaRouter>(registry, ropts);
     std::printf("router: %d replicas, hedge budget %lld us", replicas,
                 static_cast<long long>(router->hedge_budget_us()));
     for (std::size_t r = 0; r < router->placement().size(); ++r) {
@@ -145,7 +147,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   } else {
-    service = std::make_unique<SelectionService>(selector, opts);
+    service = std::make_unique<SelectionService>(registry, opts);
   }
   auto predict = [&](const Csr& m) {
     return router ? router->predict(m, op) : service->predict(m, op);
@@ -182,7 +184,7 @@ int main(int argc, char** argv) {
     if (trainer->train_once())
       std::printf("published fine-tuned version %llu; serving second "
                   "wave...\n",
-                  static_cast<unsigned long long>(registry->version()));
+                  static_cast<unsigned long long>(registry.version()));
     // Fresh matrices so the wave misses the cache: a miss is what wakes a
     // worker, and a woken worker is what adopts the new version (cached
     // answers keep flowing from the pinned version until then — that's
@@ -231,8 +233,8 @@ int main(int argc, char** argv) {
     std::printf("batches       %llu (mean size %.2f, max %llu)\n",
                 static_cast<unsigned long long>(s.batches), s.mean_batch(),
                 static_cast<unsigned long long>(s.max_batch));
-    std::printf("latency p50   %.0f us\n", 1e6 * s.latency_quantile(0.5));
-    std::printf("latency p95   %.0f us\n", 1e6 * s.latency_quantile(0.95));
+    std::printf("latency p50   %.0f us\n", s.latency.quantile(0.5));
+    std::printf("latency p95   %.0f us\n", s.latency.quantile(0.95));
     std::printf("rep build     p50 %.0f us, mean %.0f us over %llu misses\n",
                 s.rep_build.quantile(0.5), s.rep_build.mean(),
                 static_cast<unsigned long long>(s.rep_build.count));
@@ -253,7 +255,7 @@ int main(int argc, char** argv) {
                   "swap(s); registry at version %llu\n",
                   static_cast<unsigned long long>(s.model_version),
                   static_cast<unsigned long long>(s.model_swaps),
-                  static_cast<unsigned long long>(registry->version()));
+                  static_cast<unsigned long long>(registry.version()));
     }
   }
 

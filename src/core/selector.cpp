@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <fstream>
-#include <numeric>
 
 #include "common/error.hpp"
 #include "core/trainer.hpp"
@@ -181,18 +180,11 @@ std::vector<std::int32_t> FormatSelector::predict_prepared(
                     "predict(kSpmm) on a selector without an SpMM head "
                     "(fit_spmm was never called)");
   if (prepared.empty()) return {};
-  Dataset batch;
-  batch.candidates = candidates_;
-  batch.samples.reserve(prepared.size());
-  for (const std::vector<Tensor>& inputs : prepared) {
-    Sample s;
-    s.inputs = inputs;
-    batch.samples.push_back(std::move(s));
-  }
-  std::vector<std::int32_t> idx(batch.samples.size());
-  std::iota(idx.begin(), idx.end(), 0);
+  std::vector<const std::vector<Tensor>*> samples;
+  samples.reserve(prepared.size());
+  for (const std::vector<Tensor>& inputs : prepared) samples.push_back(&inputs);
   const std::vector<Tensor> inputs =
-      assemble_batch(batch, idx, num_net_inputs(make_spec()));
+      assemble_batch(samples, num_net_inputs(make_spec()));
   // One forward over the whole batch; the lock covers only inference, not
   // the representation work above. The int8 executor needs it too: it
   // shares the net's fp32 pool layers (mutable argmax scratch).
@@ -220,18 +212,6 @@ std::vector<std::int32_t> FormatSelector::predict_index_batch(
     prepared.push_back(prepare_inputs(*a));
   }
   return predict_prepared(prepared, nullptr, op);
-}
-
-std::vector<Format> FormatSelector::predict_batch(const std::vector<Csr>& as,
-                                                  SpOp op) const {
-  std::vector<const Csr*> ptrs;
-  ptrs.reserve(as.size());
-  for (const Csr& a : as) ptrs.push_back(&a);
-  std::vector<Format> out;
-  out.reserve(as.size());
-  for (std::int32_t idx : predict_index_batch(ptrs, op))
-    out.push_back(candidates_[static_cast<std::size_t>(idx)]);
-  return out;
 }
 
 Format FormatSelector::predict(const Csr& a, SpOp op) const {

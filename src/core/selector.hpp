@@ -90,23 +90,22 @@ class FormatSelector {
 
   /// Predicted best format for a new matrix.
   ///
-  /// Thread safety: predict/predict_index/predict_batch/predict_prepared
-  /// may be called concurrently from any number of threads on a trained
-  /// selector. MergeNet keeps mutable per-forward scratch (activations for
-  /// backward), so inference is internally serialized on a per-selector
-  /// mutex; representation-building (prepare_inputs) runs outside the lock
-  /// and scales with the callers. Concurrent prediction must not overlap
-  /// with fit()/fit_spmm()/migrate() on the same object.
+  /// Thread safety: predict, predict_index, predict_index_batch and
+  /// predict_prepared may be called concurrently from any number of threads
+  /// on a trained selector. MergeNet keeps mutable per-forward scratch
+  /// (activations for backward), so inference is internally serialized on
+  /// a per-selector mutex; representation-building (prepare_inputs) runs
+  /// outside the lock and scales with the callers. Concurrent prediction
+  /// must not overlap with fit()/fit_spmm()/migrate() on the same object.
   Format predict(const Csr& a, SpOp op = SpOp::kSpmv) const;
 
   /// Index into candidates() instead of the Format enum.
   std::int32_t predict_index(const Csr& a, SpOp op = SpOp::kSpmv) const;
 
   /// Batched predict: one forward pass over all matrices through the same
-  /// batched-tensor path the trainer uses. Element i equals predict(as[i])
-  /// exactly (per-sample arithmetic is batch-size invariant).
-  std::vector<Format> predict_batch(const std::vector<Csr>& as,
-                                    SpOp op = SpOp::kSpmv) const;
+  /// batched-tensor path the trainer uses. Element i equals
+  /// predict_index(*as[i]) exactly (per-sample arithmetic is batch-size
+  /// invariant).
   std::vector<std::int32_t> predict_index_batch(
       const std::vector<const Csr*>& as, SpOp op = SpOp::kSpmv) const;
 

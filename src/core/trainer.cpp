@@ -56,27 +56,25 @@ Tensor dataset_codes(MergeNet& net, const Dataset& data, int net_inputs,
 
 }  // namespace
 
-std::vector<Tensor> assemble_batch(const Dataset& data,
-                                   const std::vector<std::int32_t>& idx,
-                                   int net_inputs) {
-  DNNSPMV_CHECK(!idx.empty() && !data.samples.empty());
-  const auto& first = data.samples[static_cast<std::size_t>(idx[0])];
-  const int nsources = static_cast<int>(first.inputs.size());
+std::vector<Tensor> assemble_batch(
+    const std::vector<const std::vector<Tensor>*>& samples, int net_inputs) {
+  DNNSPMV_CHECK(!samples.empty());
+  const std::vector<Tensor>& first = *samples[0];
+  const int nsources = static_cast<int>(first.size());
   DNNSPMV_CHECK_MSG(net_inputs == nsources || net_inputs == 1,
                     "cannot feed " << nsources << " sources into "
                                    << net_inputs << " towers");
-  const auto batch = static_cast<std::int64_t>(idx.size());
+  const auto batch = static_cast<std::int64_t>(samples.size());
 
   std::vector<Tensor> out;
   if (net_inputs == nsources) {
     // One tower per source: batch tensors [B, 1, H, W].
     for (int s = 0; s < nsources; ++s) {
-      const auto& shape = first.inputs[static_cast<std::size_t>(s)].shape();
+      const auto& shape = first[static_cast<std::size_t>(s)].shape();
       Tensor t({batch, 1, shape[0], shape[1]});
       for (std::int64_t b = 0; b < batch; ++b) {
-        const Tensor& src =
-            data.samples[static_cast<std::size_t>(idx[b])]
-                .inputs[static_cast<std::size_t>(s)];
+        const std::vector<Tensor>& in = *samples[static_cast<std::size_t>(b)];
+        const Tensor& src = in[static_cast<std::size_t>(s)];
         DNNSPMV_CHECK(src.shape() == shape);
         std::copy(src.data(), src.data() + src.size(),
                   t.data() + b * src.size());
@@ -85,14 +83,13 @@ std::vector<Tensor> assemble_batch(const Dataset& data,
     }
   } else {
     // Early merging: stack all sources as channels of one input.
-    const auto& shape = first.inputs[0].shape();
+    const auto& shape = first[0].shape();
     Tensor t({batch, nsources, shape[0], shape[1]});
     const std::int64_t plane = shape[0] * shape[1];
     for (std::int64_t b = 0; b < batch; ++b) {
+      const std::vector<Tensor>& in = *samples[static_cast<std::size_t>(b)];
       for (int s = 0; s < nsources; ++s) {
-        const Tensor& src =
-            data.samples[static_cast<std::size_t>(idx[b])]
-                .inputs[static_cast<std::size_t>(s)];
+        const Tensor& src = in[static_cast<std::size_t>(s)];
         DNNSPMV_CHECK(src.shape() == shape);
         std::copy(src.data(), src.data() + plane,
                   t.data() + (b * nsources + s) * plane);
@@ -101,6 +98,17 @@ std::vector<Tensor> assemble_batch(const Dataset& data,
     out.push_back(std::move(t));
   }
   return out;
+}
+
+std::vector<Tensor> assemble_batch(const Dataset& data,
+                                   const std::vector<std::int32_t>& idx,
+                                   int net_inputs) {
+  DNNSPMV_CHECK(!idx.empty() && !data.samples.empty());
+  std::vector<const std::vector<Tensor>*> samples;
+  samples.reserve(idx.size());
+  for (std::int32_t i : idx)
+    samples.push_back(&data.samples[static_cast<std::size_t>(i)].inputs);
+  return assemble_batch(samples, net_inputs);
 }
 
 TrainHistory train_cnn(MergeNet& net, const Dataset& data, int net_inputs,

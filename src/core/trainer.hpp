@@ -22,9 +22,13 @@ struct TrainHistory {
   std::vector<double> epoch_loss;  // mean loss per epoch
 };
 
-/// Builds the NCHW batch tensors for samples `idx`. When the network has a
-/// single tower but samples carry several sources (early merging), the
-/// sources are stacked as channels.
+/// Builds the NCHW batch tensors from one input set per sample. When the
+/// network has a single tower but samples carry several sources (early
+/// merging), the sources are stacked as channels.
+std::vector<Tensor> assemble_batch(
+    const std::vector<const std::vector<Tensor>*>& samples, int net_inputs);
+
+/// The same for dataset samples `idx`.
 std::vector<Tensor> assemble_batch(const Dataset& data,
                                    const std::vector<std::int32_t>& idx,
                                    int net_inputs);

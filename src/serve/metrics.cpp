@@ -1,8 +1,5 @@
 #include "serve/metrics.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace dnnspmv {
 namespace {
 
@@ -12,26 +9,6 @@ std::string next_service_prefix() {
 }
 
 }  // namespace
-
-double ServiceStats::bucket_upper_seconds(int i) {
-  // Registry histograms record microseconds; convert the bucket edge back.
-  return obs::Histogram::Snapshot::bucket_upper(i) * 1e-6;
-}
-
-double ServiceStats::latency_quantile(double q) const {
-  q = std::clamp(q, 0.0, 1.0);
-  std::uint64_t total = 0;
-  for (std::uint64_t c : latency) total += c;
-  if (total == 0) return 0.0;
-  const auto rank = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total)));
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    seen += latency[static_cast<std::size_t>(i)];
-    if (seen >= rank) return bucket_upper_seconds(i);
-  }
-  return bucket_upper_seconds(kLatencyBuckets - 1);
-}
 
 ServiceMetrics::ServiceMetrics(obs::MetricsRegistry* reg)
     : reg_(reg ? reg : &obs::MetricsRegistry::global()),
@@ -86,7 +63,7 @@ ServiceStats ServiceMetrics::snapshot(std::uint64_t cache_entries) const {
   s.cache_entries = cache_entries;
   s.model_version = static_cast<std::uint64_t>(model_version_.value());
   s.model_swaps = swap_total_.value();
-  s.latency = latency_.snapshot().buckets;
+  s.latency = latency_.snapshot();
   s.rep_build = rep_build_.snapshot();
   return s;
 }

@@ -1,21 +1,15 @@
 // Service metrics as a typed view over the obs registry.
 //
-// Since PR 3 the counters live in obs::MetricsRegistry (by default the
-// process-global one) under a per-service prefix ("serve0.", "serve1.",
-// …), so one registry export shows every live service next to the nn/
-// sparse instrumentation. ServiceMetrics resolves its handles once at
-// construction; recording is the same relaxed-atomic cost as the old
-// hand-rolled block, and snapshot() still produces the plain ServiceStats
-// value the tests and benches have always consumed — now guaranteed to
-// match the registry export for the same run because both read the same
-// atomics.
-//
-// Latency buckets are powers of two in microseconds: bucket i counts
-// requests with latency in [2^i, 2^(i+1)) µs, bucket 0 additionally takes
-// sub-microsecond requests and the last bucket takes everything slower.
+// The counters live in obs::MetricsRegistry (by default the process-global
+// one) under a per-service prefix ("serve0.", "serve1.", …), so one
+// registry export shows every live service next to the nn/sparse
+// instrumentation. ServiceMetrics resolves its handles once at
+// construction, so recording is one relaxed atomic per instrument, and
+// snapshot() produces the plain ServiceStats value, which matches the
+// registry export for the same run because both read the same atomics.
+// Histograms come out as obs::Histogram::Snapshot, in µs.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -24,8 +18,6 @@
 #include "sparse/format.hpp"
 
 namespace dnnspmv {
-
-inline constexpr int kLatencyBuckets = obs::kHistogramBuckets;
 
 /// Plain-value snapshot of a ServiceMetrics block.
 struct ServiceStats {
@@ -48,10 +40,11 @@ struct ServiceStats {
   std::uint64_t cache_entries = 0;   // live cache entries at snapshot time
   std::uint64_t model_version = 0;   // registry version the workers serve
   std::uint64_t model_swaps = 0;     // hot swaps adopted since start
-  std::array<std::uint64_t, kLatencyBuckets> latency{};  // bucket counts
-  // Miss-path representation-build time (the serve.prepare_inputs work),
-  // microsecond buckets like `latency`. Counts one observation per
-  // admitted miss that built inputs in the client thread.
+  // End-to-end time of each blocking predict(), from submit to answer.
+  obs::Histogram::Snapshot latency;
+  // Miss-path representation-build time (the serve.prepare_inputs work).
+  // Counts one observation per admitted miss that built inputs in the
+  // client thread.
   obs::Histogram::Snapshot rep_build;
 
   /// Fraction of requests that received a prediction (from the cache, the
@@ -75,13 +68,6 @@ struct ServiceStats {
                         : static_cast<double>(batched_samples) /
                               static_cast<double>(batches);
   }
-
-  /// Upper bound in seconds of bucket `i`.
-  static double bucket_upper_seconds(int i);
-
-  /// Approximate latency quantile (q in [0,1]) from the histogram: the
-  /// upper edge of the bucket containing the q-th recorded request.
-  double latency_quantile(double q) const;
 };
 
 class ServiceMetrics {

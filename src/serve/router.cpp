@@ -17,6 +17,13 @@ namespace {
 constexpr std::uint64_t kRingPointSalt = 0x9d2c5680ca876f1dULL;
 constexpr std::uint64_t kRingLookupSalt = 0x6a09e667f3bcc909ULL;
 
+constexpr int kVnodes = 128;  // ring points per replica
+
+// Adaptive hedge budget: this quantile of the CNN waits, clamped.
+constexpr double kHedgeQuantile = 0.95;
+constexpr std::int64_t kHedgeMinUs = 500;
+constexpr std::int64_t kHedgeMaxUs = 100'000;
+
 std::string next_router_prefix() {
   static std::atomic<int> instance{0};
   return "router" + std::to_string(instance.fetch_add(1)) + ".";
@@ -33,17 +40,14 @@ std::future<std::int32_t> shutdown_future() {
 
 // ---------------------------------------------------------------- HashRing
 
-HashRing::HashRing(int replicas, int vnodes) : replicas_(replicas) {
+HashRing::HashRing(int replicas) : replicas_(replicas) {
   DNNSPMV_CHECK_ERRC(replicas >= 1, errc::invalid_argument,
                      "HashRing needs at least one replica");
-  DNNSPMV_CHECK_ERRC(vnodes >= 1, errc::invalid_argument,
-                     "HashRing needs at least one vnode per replica");
-  ring_.reserve(static_cast<std::size_t>(replicas) *
-                static_cast<std::size_t>(vnodes));
+  ring_.reserve(static_cast<std::size_t>(replicas) * kVnodes);
   for (int r = 0; r < replicas; ++r) {
     const std::uint64_t seed =
         hash_combine(kRingPointSalt, static_cast<std::uint64_t>(r));
-    for (int v = 0; v < vnodes; ++v)
+    for (int v = 0; v < kVnodes; ++v)
       ring_.emplace_back(hash_combine(seed, static_cast<std::uint64_t>(v)), r);
   }
   std::sort(ring_.begin(), ring_.end());
@@ -130,24 +134,9 @@ struct ReplicaRouter::HedgeState {
 };
 
 ReplicaRouter::ReplicaRouter(ModelRegistry& registry, RouterOptions opts)
-    : ReplicaRouter(nullptr, &registry, std::move(opts)) {}
-
-ReplicaRouter::ReplicaRouter(const FormatSelector& selector,
-                             RouterOptions opts)
-    : ReplicaRouter(
-          [&selector] {
-            DNNSPMV_CHECK_ERRC(selector.trained(), errc::not_trained,
-                               "ReplicaRouter needs a trained FormatSelector");
-            return std::make_unique<ModelRegistry>(selector.clone());
-          }(),
-          nullptr, std::move(opts)) {}
-
-ReplicaRouter::ReplicaRouter(std::unique_ptr<ModelRegistry> owned,
-                             ModelRegistry* registry, RouterOptions opts)
-    : owned_registry_(std::move(owned)),
-      registry_(registry ? *registry : *owned_registry_),
+    : registry_(registry),
       opts_(std::move(opts)),
-      ring_(opts_.replicas, opts_.vnodes),
+      ring_(opts_.replicas),
       prefix_(next_router_prefix()),
       requests_(obs::MetricsRegistry::global().counter(prefix_ + "requests")),
       hedges_(obs::MetricsRegistry::global().counter(prefix_ + "hedge")),
@@ -161,16 +150,7 @@ ReplicaRouter::ReplicaRouter(std::unique_ptr<ModelRegistry> owned,
       latency_us_(
           obs::MetricsRegistry::global().histogram(prefix_ + "latency_us")),
       budget_us_(opts_.hedge_fixed_us > 0 ? opts_.hedge_fixed_us
-                                          : opts_.hedge_min_us) {
-  DNNSPMV_CHECK_ERRC(opts_.replicas >= 1, errc::invalid_argument,
-                     "need at least one replica");
-  DNNSPMV_CHECK_ERRC(opts_.hedge_quantile > 0.0 && opts_.hedge_quantile <= 1.0,
-                     errc::invalid_argument,
-                     "hedge_quantile must be in (0, 1]");
-  DNNSPMV_CHECK_ERRC(
-      opts_.hedge_min_us >= 0 && opts_.hedge_max_us >= opts_.hedge_min_us,
-      errc::invalid_argument, "need 0 <= hedge_min_us <= hedge_max_us");
-
+                                          : kHedgeMinUs) {
   if (opts_.pin_workers)
     placement_ = affinity::plan_groups(affinity::detect_topology(),
                                        opts_.replicas);
@@ -180,9 +160,8 @@ ReplicaRouter::ReplicaRouter(std::unique_ptr<ModelRegistry> owned,
   depth_gauges_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ServiceOptions so = opts_.service;
-    if (opts_.divide_cache)
-      so.cache_capacity =
-          std::max<std::size_t>(64, opts_.service.cache_capacity / n);
+    so.cache_capacity =
+        std::max<std::size_t>(64, opts_.service.cache_capacity / n);
     if (i < placement_.size()) so.pin_cpus = placement_[i].cpus;
     if (i < opts_.injectors.size() && opts_.injectors[i])
       so.injector = opts_.injectors[i];
@@ -262,8 +241,8 @@ void ReplicaRouter::refresh_budget() {
   if (opts_.hedge_fixed_us > 0) return;
   const obs::Histogram::Snapshot snap = cnn_wait_us_.snapshot();
   if (snap.count == 0) return;
-  const auto q = static_cast<std::int64_t>(snap.quantile(opts_.hedge_quantile));
-  const std::int64_t b = std::clamp(q, opts_.hedge_min_us, opts_.hedge_max_us);
+  const auto q = static_cast<std::int64_t>(snap.quantile(kHedgeQuantile));
+  const std::int64_t b = std::clamp(q, kHedgeMinUs, kHedgeMaxUs);
   budget_us_.store(b, std::memory_order_relaxed);
   budget_gauge_.set(static_cast<double>(b));
 }
@@ -328,11 +307,6 @@ void ReplicaRouter::run_hedger() {
     finalize_locked(*s);
   }
   hedge_queue_.clear();
-}
-
-std::future<std::int32_t> ReplicaRouter::submit(
-    const Csr& a, std::optional<std::chrono::microseconds> deadline) {
-  return submit(a, SpOp::kSpmv, deadline);
 }
 
 std::future<std::int32_t> ReplicaRouter::submit(
@@ -425,20 +399,10 @@ std::int32_t ReplicaRouter::predict_index(
   return idx;
 }
 
-std::int32_t ReplicaRouter::predict_index(
-    const Csr& a, std::optional<std::chrono::microseconds> deadline) {
-  return predict_index(a, SpOp::kSpmv, deadline);
-}
-
 Format ReplicaRouter::predict(
     const Csr& a, SpOp op, std::optional<std::chrono::microseconds> deadline) {
   return candidates()[static_cast<std::size_t>(
       predict_index(a, op, deadline))];
-}
-
-Format ReplicaRouter::predict(
-    const Csr& a, std::optional<std::chrono::microseconds> deadline) {
-  return predict(a, SpOp::kSpmv, deadline);
 }
 
 RouterStats ReplicaRouter::snapshot() const {

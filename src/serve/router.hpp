@@ -2,14 +2,15 @@
 //
 // One SelectionService is one queue, one worker pool, one model instance
 // (forward passes serialize on the selector's inference mutex) — a ceiling
-// no amount of client threads moves. The router scales that out:
+// no amount of client threads moves. The router scales that out. Its one
+// constructor takes the ModelRegistry every replica subscribes to:
 //
 //            client thread
 //            ─────────────
 //            stats + fingerprint (once — replicas never rehash)
 //                  │
-//            consistent-hash ring  (vnodes; repeat matrices stay
-//                  │                cache-warm on one replica)
+//            consistent-hash ring  (128 points per replica; repeat
+//                  │                matrices stay cache-warm on one replica)
 //         ┌────────┴──────────┬──────────────────┐
 //      replica 0           replica 1    …     replica N-1
 //      registry subscriber registry subscriber   (one ModelRegistry is the
@@ -22,14 +23,15 @@
 //
 // Hedged re-dispatch: a cache miss enqueued on its primary replica is
 // watched by the router's hedge timer. If it is still unresolved after a
-// budget derived from the router's own CNN-wait histogram (quantile ×
-// clamp, or a fixed override), the retained input copy is re-submitted to
-// the key's ring sibling and the two dispatches race; the router's future
-// resolves exactly once with the first answer (mutex-guarded first-wins,
-// tsan-clean). Errors are held back while a sibling might still answer —
-// the request fails only when every dispatch has failed. Each replica's
-// own degraded path (FallbackSelector, PR 4) remains the last resort, so
-// availability survives both replicas shedding.
+// budget derived from the router's own CNN-wait histogram (its 0.95
+// quantile clamped to [500 µs, 100 ms], or a fixed override), the
+// retained input copy is re-submitted to the key's ring sibling and the
+// two dispatches race; the router's future resolves exactly once with the
+// first answer (mutex-guarded first-wins, tsan-clean). Errors are held
+// back while a sibling might still answer — the request fails only when
+// every dispatch has failed. Each replica's own degraded path
+// (FallbackSelector) remains the last resort, so availability survives
+// both replicas shedding.
 //
 // Failure semantics per request: exactly one of
 //   value            — primary answer, hedge answer, or degraded answer
@@ -60,12 +62,12 @@
 namespace dnnspmv {
 
 /// Consistent-hash ring mapping structural fingerprints to replica ids.
-/// Each replica owns `vnodes` points on the ring (splitmix64-placed); a
+/// Each replica owns 128 points on the ring (splitmix64-placed); a
 /// fingerprint's primary is the first point clockwise, its sibling the
 /// next point owned by a *different* replica. Exposed for balance tests.
 class HashRing {
  public:
-  explicit HashRing(int replicas, int vnodes = 128);
+  explicit HashRing(int replicas);
 
   int primary(std::uint64_t fp) const;
   /// Hedge target: next distinct replica clockwise (== primary only when
@@ -84,27 +86,20 @@ struct RouterOptions {
   int replicas = 2;
   /// Template for every replica's service. cache_capacity is the ROUTER
   /// total: it is divided by `replicas` (floor 64) since the ring already
-  /// partitions the keyspace. Set divide_cache=false to give every replica
-  /// the full capacity instead.
+  /// partitions the keyspace.
   ServiceOptions service;
-  bool divide_cache = true;
 
-  // Hedging. The budget is hedge_quantile of the router's cnn_wait_us
-  // histogram, clamped to [hedge_min_us, hedge_max_us] and refreshed every
-  // few resolutions; until enough waits are observed the clamp floor
-  // applies (hedge early, learn up). hedge_fixed_us > 0 bypasses the
-  // quantile entirely — deterministic tests use it.
+  // Hedging. The budget is the 0.95 quantile of the router's cnn_wait_us
+  // histogram, clamped to [500 µs, 100 ms] and refreshed every 32 CNN
+  // answers; until then the 500 µs floor applies (hedge early, learn up).
+  // hedge_fixed_us > 0 bypasses the quantile entirely — deterministic
+  // tests and benches use it.
   bool hedge = true;
-  double hedge_quantile = 0.95;
-  std::int64_t hedge_min_us = 500;
-  std::int64_t hedge_max_us = 100'000;
   std::int64_t hedge_fixed_us = 0;
 
   // Placement: plan one core/NUMA group per replica (serve/affinity.hpp)
   // and pin each replica's workers to its group. Best-effort.
   bool pin_workers = true;
-
-  int vnodes = 128;  // ring points per replica
 
   // Per-replica fault injectors (index = replica id; null entries and
   // missing tail entries mean "use the global injector"). How a bench or
@@ -145,11 +140,6 @@ class ReplicaRouter {
   /// publish hot-swaps every replica at its next batch boundary. The
   /// registry must outlive the router.
   explicit ReplicaRouter(ModelRegistry& registry, RouterOptions opts = {});
-
-  /// Legacy convenience: clones `selector` into a private owned registry
-  /// (version 1). The selector may be discarded after construction.
-  explicit ReplicaRouter(const FormatSelector& selector,
-                         RouterOptions opts = {});
   ~ReplicaRouter();
 
   ReplicaRouter(const ReplicaRouter&) = delete;
@@ -160,24 +150,15 @@ class ReplicaRouter {
   /// uses the raw (op-agnostic) fingerprint — both ops of one matrix land
   /// on the same replica, which keeps its stats/rep work cache-warm — and
   /// each replica op-scopes its cache keys underneath.
-  std::future<std::int32_t> submit(const Csr& a,
-                                   std::optional<std::chrono::microseconds>
-                                       deadline = std::nullopt);
-  std::future<std::int32_t> submit(const Csr& a, SpOp op,
+  std::future<std::int32_t> submit(const Csr& a, SpOp op = SpOp::kSpmv,
                                    std::optional<std::chrono::microseconds>
                                        deadline = std::nullopt);
 
   /// Blocking wrappers; end-to-end latency lands in router latency_us.
-  std::int32_t predict_index(const Csr& a,
+  std::int32_t predict_index(const Csr& a, SpOp op = SpOp::kSpmv,
                              std::optional<std::chrono::microseconds>
                                  deadline = std::nullopt);
-  Format predict(const Csr& a,
-                 std::optional<std::chrono::microseconds> deadline =
-                     std::nullopt);
-  std::int32_t predict_index(const Csr& a, SpOp op,
-                             std::optional<std::chrono::microseconds>
-                                 deadline = std::nullopt);
-  Format predict(const Csr& a, SpOp op,
+  Format predict(const Csr& a, SpOp op = SpOp::kSpmv,
                  std::optional<std::chrono::microseconds> deadline =
                      std::nullopt);
 
@@ -203,15 +184,12 @@ class ReplicaRouter {
     return services_.front()->candidates();
   }
 
-  /// The registry every replica subscribes to (the owned one for the
-  /// legacy selector constructor) — publish() here to hot-swap the tier.
+  /// The registry every replica subscribes to — publish() here to hot-swap
+  /// the tier.
   ModelRegistry& registry() const { return registry_; }
 
  private:
   struct HedgeState;
-
-  ReplicaRouter(std::unique_ptr<ModelRegistry> owned, ModelRegistry* registry,
-                RouterOptions opts);
 
   /// First-wins resolution of one dispatch's outcome into the state.
   void complete(const std::shared_ptr<HedgeState>& s, std::int32_t idx,
@@ -224,7 +202,6 @@ class ReplicaRouter {
   void run_hedger();
   void refresh_budget();
 
-  std::unique_ptr<ModelRegistry> owned_registry_;  // legacy ctor only
   ModelRegistry& registry_;
   RouterOptions opts_;
   HashRing ring_;

@@ -14,6 +14,8 @@
 namespace dnnspmv {
 namespace {
 
+constexpr std::size_t kCacheShards = 8;
+
 std::size_t shed_threshold_for(const ServiceOptions& opts) {
   if (opts.shed_watermark > 1.0) return SIZE_MAX;  // shedding disabled
   const auto t = static_cast<std::size_t>(
@@ -29,13 +31,6 @@ FallbackSelector make_fallback(const ModelRegistry& registry,
                      "ServiceOptions::fallback was built for a different "
                      "candidate list than the model registry's");
   return *opts.fallback;
-}
-
-std::unique_ptr<ModelRegistry> make_owned_registry(
-    const FormatSelector& selector) {
-  DNNSPMV_CHECK_ERRC(selector.trained(), errc::not_trained,
-                     "SelectionService needs a trained FormatSelector");
-  return std::make_unique<ModelRegistry>(selector.clone());
 }
 
 /// Ready future carrying `idx`; also consumes `done` on the success path.
@@ -55,18 +50,7 @@ std::future<std::int32_t> ready_future(std::int32_t idx, AnswerSource src,
 
 SelectionService::SelectionService(ModelRegistry& registry,
                                    ServiceOptions opts)
-    : SelectionService(nullptr, &registry, std::move(opts)) {}
-
-SelectionService::SelectionService(const FormatSelector& selector,
-                                   ServiceOptions opts)
-    : SelectionService(make_owned_registry(selector), nullptr,
-                       std::move(opts)) {}
-
-SelectionService::SelectionService(std::unique_ptr<ModelRegistry> owned,
-                                   ModelRegistry* registry,
-                                   ServiceOptions opts)
-    : owned_registry_(std::move(owned)),
-      registry_(registry ? *registry : *owned_registry_),
+    : registry_(registry),
       subscription_(registry_),
       opts_(std::move(opts)),
       rep_builder_(registry_.current()->rep_builder()),
@@ -74,7 +58,7 @@ SelectionService::SelectionService(std::unique_ptr<ModelRegistry> owned,
       shed_threshold_(shed_threshold_for(opts_)),
       injector_(opts_.injector ? opts_.injector : &fault::Injector::global()),
       feedback_probe_(opts_.feedback_probe),
-      cache_(opts_.cache_capacity, opts_.cache_shards),
+      cache_(opts_.cache_capacity, kCacheShards),
       queue_(opts_.queue_capacity),
       // Enough pooled buffer sets to cover every request that can be in
       // flight at once (queued + being batched per worker), so a loaded
@@ -270,20 +254,10 @@ std::int32_t SelectionService::predict_index(
   return idx;
 }
 
-std::int32_t SelectionService::predict_index(
-    const Csr& a, std::optional<std::chrono::microseconds> deadline) {
-  return predict_index(a, SpOp::kSpmv, deadline);
-}
-
 Format SelectionService::predict(
     const Csr& a, SpOp op, std::optional<std::chrono::microseconds> deadline) {
   return candidates()[static_cast<std::size_t>(
       predict_index(a, op, deadline))];
-}
-
-Format SelectionService::predict(
-    const Csr& a, std::optional<std::chrono::microseconds> deadline) {
-  return predict(a, SpOp::kSpmv, deadline);
 }
 
 ServiceStats SelectionService::snapshot() const {

@@ -59,17 +59,17 @@
 // ServiceOptions::pin_cpus pins the worker pool to a core/NUMA group and
 // ServiceOptions::injector scopes fault injection per replica.
 //
-// Online learning (ISSUE 8): the service serves a ModelRegistry
-// subscription, not a fixed selector. Workers probe for newly published
-// versions between micro-batches (lock-free staleness check) and adopt by
-// cloning — no pause, in-flight batches finish on the version they
-// started with. Cache keys mix in the model version, so a swap never
-// serves a stale prediction and never needs a cache clear. When
-// ServiceOptions::feedback is set, a sampled fraction of cache misses is
-// probed (per-format measured SpMV times) and published to the feedback
-// stream — the data the OnlineTrainer fine-tunes on. The legacy
-// selector-reference constructor wraps its selector in a private owned
-// registry, so existing callers keep working (version pinned at 1).
+// Construction and online learning: the one constructor takes a
+// ModelRegistry& and serves its subscription, not a fixed selector (a
+// caller holding just a trained selector builds
+// `ModelRegistry reg(selector.clone())` first). Workers probe for newly
+// published versions between micro-batches (lock-free staleness check)
+// and adopt by cloning — no pause, in-flight batches finish on the
+// version they started with. Cache keys mix in the model version, so a
+// swap never serves a stale prediction and never needs a cache clear.
+// When ServiceOptions::feedback is set, a sampled fraction of cache
+// misses is probed (per-format measured SpMV times) and published to the
+// feedback stream — the data the OnlineTrainer fine-tunes on.
 //
 // Thread safety: predict()/predict_index()/submit()/snapshot() may be
 // called concurrently from any number of threads. shutdown() (or
@@ -88,7 +88,6 @@
 #include <chrono>
 #include <functional>
 #include <future>
-#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -107,8 +106,7 @@ struct ServiceOptions {
   int num_workers = 2;            // batch-inference worker threads
   std::size_t max_batch = 16;     // micro-batch coalescing limit
   std::size_t queue_capacity = 256;
-  std::size_t cache_capacity = 4096;
-  std::size_t cache_shards = 8;
+  std::size_t cache_capacity = 4096;  // split over 8 LRU shards
 
   // Worker placement: CPU ids the worker pool pins to at start-up (empty =
   // leave threads to the scheduler). Set by ReplicaRouter from its NUMA
@@ -181,35 +179,20 @@ class SelectionService {
   /// Serves `registry`'s current version and hot-swaps to every later
   /// publish. The registry must outlive the service.
   explicit SelectionService(ModelRegistry& registry, ServiceOptions opts = {});
-
-  /// Legacy convenience: `selector` must be trained; it is cloned into a
-  /// private owned registry (version 1, never republished unless you
-  /// reach it through registry()). The selector may be discarded after
-  /// construction.
-  explicit SelectionService(const FormatSelector& selector,
-                            ServiceOptions opts = {});
   ~SelectionService();
 
   SelectionService(const SelectionService&) = delete;
   SelectionService& operator=(const SelectionService&) = delete;
 
-  /// Blocking predict; the end-to-end latency lands in the histogram.
-  /// With a deadline, throws DnnspmvError(errc::deadline_exceeded) if the
-  /// request expired queued (see class comment for the full semantics).
-  Format predict(const Csr& a,
+  /// Blocking predict; the end-to-end latency lands in the histogram. The
+  /// answer comes from the model's head for `op` (requires the registry's
+  /// model to support it — see FormatSelector::supports). With a
+  /// deadline, throws DnnspmvError(errc::deadline_exceeded) if the request
+  /// expired queued (see class comment for the full semantics).
+  Format predict(const Csr& a, SpOp op = SpOp::kSpmv,
                  std::optional<std::chrono::microseconds> deadline =
                      std::nullopt);
-  std::int32_t predict_index(const Csr& a,
-                             std::optional<std::chrono::microseconds>
-                                 deadline = std::nullopt);
-
-  /// Op-aware flavours: the answer comes from the model's head for `op`
-  /// (requires the registry's model to support it — see
-  /// FormatSelector::supports).
-  Format predict(const Csr& a, SpOp op,
-                 std::optional<std::chrono::microseconds> deadline =
-                     std::nullopt);
-  std::int32_t predict_index(const Csr& a, SpOp op,
+  std::int32_t predict_index(const Csr& a, SpOp op = SpOp::kSpmv,
                              std::optional<std::chrono::microseconds>
                                  deadline = std::nullopt);
 
@@ -240,8 +223,8 @@ class SelectionService {
   }
   const ServiceOptions& options() const { return opts_; }
 
-  /// The registry this service subscribes to (the owned one for the
-  /// legacy selector constructor) — publish() here to hot-swap the model.
+  /// The registry this service subscribes to — publish() here to hot-swap
+  /// the model.
   ModelRegistry& registry() const { return registry_; }
 
   /// Model version this service's workers have adopted (may briefly lag
@@ -257,11 +240,6 @@ class SelectionService {
   const RepBufferPool& rep_pool() const { return rep_pool_; }
 
  private:
-  /// Common constructor: exactly one of `owned`/`registry` is the model
-  /// source (owned != null for the legacy selector path).
-  SelectionService(std::unique_ptr<ModelRegistry> owned,
-                   ModelRegistry* registry, ServiceOptions opts);
-
   /// Immediate fallback answer for a shed miss (stats already computed).
   /// Consumes `done` (fires it with the degraded answer) when set.
   std::future<std::int32_t> answer_degraded(const MatrixStats& st,
@@ -288,7 +266,6 @@ class SelectionService {
   void maybe_publish_feedback(const Csr& a, std::uint64_t fp,
                               const std::vector<Tensor>& inputs);
 
-  std::unique_ptr<ModelRegistry> owned_registry_;  // legacy ctor only
   ModelRegistry& registry_;
   ModelSubscription subscription_;  // must precede batcher_
   ServiceOptions opts_;

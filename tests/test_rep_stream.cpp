@@ -272,7 +272,8 @@ TEST(RepPool, ServiceRecyclesMissBuffersAndReportsRepBuild) {
   ServiceOptions sopts;
   sopts.num_workers = 2;
   {
-    SelectionService service(sel, sopts);
+    ModelRegistry registry(sel.clone());
+    SelectionService service(registry, sopts);
     for (const auto& entry : corpus) (void)service.predict(entry.matrix);
     const ServiceStats stats = service.snapshot();
     // Every miss built its inputs through the streaming builder and timed

@@ -173,7 +173,8 @@ TEST(Fallback, TrainedTreeAnswersFromStatsFeatures) {
 
 TEST(Deadline, CacheHitAnswersEvenWhenAlreadyExpired) {
   auto& p = pipeline();
-  SelectionService service(p.selector);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry);
   const Csr& a = p.corpus[0].matrix;
   const std::int32_t expected = service.predict_index(a);  // warm the cache
   // A zero deadline would expire instantly in the queue, but hits never
@@ -198,7 +199,8 @@ TEST(Deadline, ExpiredWhileQueuedFailsWithDeadlineExceeded) {
   ServiceOptions opts;
   opts.num_workers = 1;
   opts.max_batch = 1;
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
 
   std::future<std::int32_t> pinned =
       service.submit({.matrix = &p.corpus[0].matrix});
@@ -237,7 +239,8 @@ TEST(Shed, WatermarkAnswersDegradedInsteadOfBlocking) {
   opts.max_batch = 1;
   opts.queue_capacity = 4;
   opts.shed_watermark = 0.5;  // shed once 2 of 4 slots are occupied
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
   const FallbackSelector reference(p.selector.candidates());
 
   std::future<std::int32_t> pinned =
@@ -288,7 +291,8 @@ TEST(Shed, FullQueueDegradesAfterBoundedRetries) {
   opts.push_retries = 2;
   opts.push_backoff_us = 10;
   opts.shed_watermark = 2.0;  // disable watermark shedding; isolate retry
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
   const FallbackSelector reference(p.selector.candidates());
 
   std::future<std::int32_t> fut =
@@ -316,7 +320,8 @@ TEST(FaultInjection, WorkerThrowFailsBatchWithoutLeakingPromises) {
   ServiceOptions opts;
   opts.num_workers = 1;
   opts.max_batch = 8;
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
 
   std::vector<std::future<std::int32_t>> futs;
   for (int i = 0; i < 4; ++i)
@@ -344,7 +349,8 @@ TEST(FaultInjection, DropFailsOnlyTheDroppedRequest) {
   ServiceOptions opts;
   opts.num_workers = 1;
   opts.max_batch = 1;  // one request per pop → the scripted drop hits one
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
 
   std::future<std::int32_t> dropped =
       service.submit({.matrix = &p.corpus[0].matrix});
@@ -370,7 +376,8 @@ TEST(ShutdownRace, ShutdownWhileDegradedPathActive) {
   opts.max_batch = 2;
   opts.queue_capacity = 4;
   opts.shed_watermark = 0.5;
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
 
   // Clients hammer submit (many of them shedding to the degraded path)
   // while shutdown lands mid-flight. Every future must resolve: a value,
@@ -414,7 +421,8 @@ TEST(RobustMetrics, RegistryExportCarriesRobustnessCounters) {
   ServiceOptions opts;
   opts.push_retries = 0;
   opts.shed_watermark = 2.0;
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
   std::future<std::int32_t> fut =
       service.submit({.matrix = &p.corpus[6].matrix});
   (void)fut.get();  // degraded answer

@@ -161,7 +161,8 @@ TEST(RouterRing, SiblingIsDistinctStableAndDeterministic) {
 
 TEST(RouterService, SubmitFingerprintedSkipsRehashAndRetainsInputs) {
   auto& p = pipeline();
-  SelectionService svc(p.selector);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService svc(registry);
   const Csr& a = p.corpus[0].matrix;
   const MatrixStats st = compute_stats(a);
   const std::uint64_t fp = structural_fingerprint(st);
@@ -204,7 +205,8 @@ TEST(RouterService, SubmitFingerprintedSkipsRehashAndRetainsInputs) {
 
 TEST(RouterService, SubmitPreparedServesCachesAndFiresCallback) {
   auto& p = pipeline();
-  SelectionService svc(p.selector);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService svc(registry);
   const Csr& a = p.corpus[1].matrix;
   const MatrixStats st = compute_stats(a);
   const std::uint64_t fp = structural_fingerprint(st);
@@ -240,7 +242,8 @@ TEST(Router, MatchesDirectPredictionsAndAggregatesStats) {
   RouterOptions opts;
   opts.replicas = 3;
   opts.service.num_workers = 1;
-  ReplicaRouter router(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  ReplicaRouter router(registry, opts);
   ASSERT_EQ(router.num_replicas(), 3u);
   ASSERT_EQ(router.candidates(), p.selector.candidates());
 
@@ -274,7 +277,8 @@ TEST(Router, PlacementCoversReplicasAndCacheIsDivided) {
   RouterOptions opts;
   opts.replicas = 2;
   opts.service.cache_capacity = 1024;
-  ReplicaRouter router(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  ReplicaRouter router(registry, opts);
   ASSERT_EQ(router.placement().size(), 2u);
   for (const affinity::CpuGroup& g : router.placement())
     EXPECT_FALSE(g.cpus.empty());
@@ -284,12 +288,12 @@ TEST(Router, PlacementCoversReplicasAndCacheIsDivided) {
   EXPECT_EQ(router.replica(1).options().pin_cpus,
             router.placement()[1].cpus);
 
-  RouterOptions whole = opts;
-  whole.divide_cache = false;
-  whole.pin_workers = false;
-  ReplicaRouter undivided(p.selector, whole);
-  EXPECT_TRUE(undivided.placement().empty());
-  EXPECT_EQ(undivided.replica(0).options().cache_capacity, 1024u);
+  RouterOptions unpinned = opts;
+  unpinned.pin_workers = false;
+  ReplicaRouter loose(registry, unpinned);
+  EXPECT_TRUE(loose.placement().empty());
+  EXPECT_TRUE(loose.replica(0).options().pin_cpus.empty());
+  EXPECT_EQ(loose.replica(1).options().cache_capacity, 512u);
 }
 
 TEST(RouterHedge, ResolvesExactlyOnceUnderForcedRace) {
@@ -309,7 +313,8 @@ TEST(RouterHedge, ResolvesExactlyOnceUnderForcedRace) {
   opts.service.num_workers = 1;
   opts.pin_workers = false;
   opts.injectors = {&slow_all, &slow_all};
-  ReplicaRouter router(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  ReplicaRouter router(registry, opts);
 
   const int kN = 20;
   std::vector<std::future<std::int32_t>> futs;
@@ -332,6 +337,44 @@ TEST(RouterHedge, ResolvesExactlyOnceUnderForcedRace) {
   EXPECT_EQ(s.hedge_budget_us, 1);
 }
 
+TEST(RouterHedge, AdaptiveBudgetLearnsFromCnnWaits) {
+  auto& p = pipeline();
+  // Every forward on both replicas takes 3 ms, so every CNN wait lands in
+  // the [2048, 4096) µs bucket or above. With no fixed budget the router
+  // hedges at the 500 µs floor until 32 CNN answers are in, then moves the
+  // budget to the 0.95 quantile of its wait histogram (clamped to 100 ms).
+  fault::Injector slow_all;
+  fault::Plan drag;
+  drag.delay_prob = 1.0;
+  drag.delay_us = 3'000;
+  slow_all.configure(fault::Site::kForward, drag);
+
+  RouterOptions opts;
+  opts.replicas = 2;
+  opts.service.num_workers = 1;
+  opts.pin_workers = false;
+  opts.injectors = {&slow_all, &slow_all};
+  ModelRegistry registry(p.selector.clone());
+  ReplicaRouter router(registry, opts);
+  EXPECT_EQ(router.hedge_budget_us(), 500);
+
+  // Distinct keys only: each request misses and a CNN forward answers it
+  // (cache hits do not feed the wait histogram).
+  std::set<std::uint64_t> keys;
+  for (std::size_t i = 0; i < p.corpus.size() && keys.size() < 40; ++i) {
+    const Csr& a = p.corpus[i].matrix;
+    if (!keys.insert(structural_fingerprint(a)).second) continue;
+    EXPECT_EQ(router.predict_index(a), p.selector.predict_index(a));
+  }
+  ASSERT_GE(keys.size(), 32u);
+  // shutdown() joins the replicas' workers, which run the completions that
+  // refresh the budget, so the last refresh is visible afterwards.
+  router.shutdown();
+  EXPECT_EQ(router.snapshot().total_degraded(), 0u);
+  EXPECT_GE(router.hedge_budget_us(), 4096);
+  EXPECT_LE(router.hedge_budget_us(), 100'000);
+}
+
 TEST(Router, StragglerHedgingCutsTailLatency) {
   auto& p = pipeline();
 
@@ -352,7 +395,8 @@ TEST(Router, StragglerHedgingCutsTailLatency) {
     opts.service.num_workers = 1;
     opts.pin_workers = false;
     opts.injectors = {&straggler, nullptr};
-    ReplicaRouter router(p.selector, opts);
+    ModelRegistry registry(p.selector.clone());
+    ReplicaRouter router(registry, opts);
 
     std::vector<double> lat_us;
     for (int i = 0; i < 40; ++i) {
@@ -392,7 +436,8 @@ TEST(Router, ShutdownDrainsInFlightAndRejectsAfter) {
   opts.hedge_fixed_us = 500;
   opts.service.num_workers = 1;
   opts.pin_workers = false;
-  ReplicaRouter router(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  ReplicaRouter router(registry, opts);
 
   std::vector<std::future<std::int32_t>> futs;
   for (int i = 0; i < 12; ++i)

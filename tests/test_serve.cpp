@@ -174,18 +174,12 @@ TEST(RequestQueue, PopBlocksUntilPush) {
 TEST(PredictBatch, MatchesSinglePredictions) {
   auto& p = pipeline();
   std::vector<const Csr*> ptrs;
-  std::vector<Csr> mats;
-  for (int i = 0; i < 24; ++i) {
+  for (int i = 0; i < 24; ++i)
     ptrs.push_back(&p.corpus[static_cast<std::size_t>(i)].matrix);
-    mats.push_back(p.corpus[static_cast<std::size_t>(i)].matrix);
-  }
   const std::vector<std::int32_t> batched = p.selector.predict_index_batch(ptrs);
-  const std::vector<Format> batched_fmt = p.selector.predict_batch(mats);
   ASSERT_EQ(batched.size(), ptrs.size());
-  for (std::size_t i = 0; i < ptrs.size(); ++i) {
+  for (std::size_t i = 0; i < ptrs.size(); ++i)
     EXPECT_EQ(batched[i], p.selector.predict_index(*ptrs[i])) << "matrix " << i;
-    EXPECT_EQ(batched_fmt[i], p.selector.predict(*ptrs[i])) << "matrix " << i;
-  }
   EXPECT_TRUE(p.selector.predict_index_batch({}).empty());
 }
 
@@ -194,7 +188,8 @@ TEST(SelectionService, ServesCachedAndUncachedCorrectly) {
   ServiceOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 8;
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
 
   const Csr& a = p.corpus[0].matrix;
   const std::int32_t direct = p.selector.predict_index(a);
@@ -210,9 +205,7 @@ TEST(SelectionService, ServesCachedAndUncachedCorrectly) {
   EXPECT_GE(s.batches, 1u);
   EXPECT_EQ(s.batched_samples, 1u);
   EXPECT_EQ(s.cache_entries, 1u);
-  std::uint64_t lat = 0;
-  for (std::uint64_t c : s.latency) lat += c;
-  EXPECT_EQ(lat, 3u);  // every blocking predict recorded a latency
+  EXPECT_EQ(s.latency.count, 3u);  // every blocking predict recorded one
 }
 
 TEST(SelectionService, ShutdownAnswersInFlightThenRejects) {
@@ -220,7 +213,8 @@ TEST(SelectionService, ShutdownAnswersInFlightThenRejects) {
   ServiceOptions opts;
   opts.num_workers = 1;
   opts.max_batch = 4;
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
 
   std::vector<std::future<std::int32_t>> futs;
   for (int i = 0; i < 6; ++i)
@@ -249,7 +243,8 @@ TEST(SelectionServiceObs, SnapshotMatchesRegistryExport) {
   ServiceOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 8;
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
 
   for (int i = 0; i < 5; ++i)
     service.predict_index(p.corpus[static_cast<std::size_t>(i % 3)].matrix);
@@ -275,16 +270,15 @@ TEST(SelectionServiceObs, SnapshotMatchesRegistryExport) {
   const obs::Histogram::Snapshot& lat =
       reg.histograms.at(prefix + "latency_us");
   EXPECT_EQ(lat.count, s.requests);
-  for (int i = 0; i < kLatencyBuckets; ++i)
-    EXPECT_EQ(lat.buckets[static_cast<std::size_t>(i)],
-              s.latency[static_cast<std::size_t>(i)]);
+  EXPECT_EQ(lat.count, s.latency.count);
+  EXPECT_EQ(lat.buckets, s.latency.buckets);
   // Queue wait was recorded for each batched (cache-miss) request.
   EXPECT_EQ(reg.histograms.at(prefix + "queue_wait_us").count,
             s.cache_misses);
   EXPECT_EQ(reg.histograms.at(prefix + "batch_size").count, s.batches);
 
   // A second service registers under a different prefix: no sharing.
-  SelectionService other(p.selector, opts);
+  SelectionService other(registry, opts);
   EXPECT_NE(other.metrics().prefix(), prefix);
   EXPECT_EQ(other.snapshot().requests, 0u);
 }
@@ -295,7 +289,8 @@ TEST(SelectionService, MultithreadedHammerMatchesDirectPredictions) {
   opts.num_workers = 2;
   opts.max_batch = 16;
   opts.cache_capacity = 64;
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
 
   constexpr int kPool = 8;
   constexpr int kThreads = 4;
@@ -368,11 +363,10 @@ TEST(ServiceMetrics, LatencyHistogramBucketsAndQuantiles) {
   m.record_latency(3e-6);    // ~bucket 1
   m.record_latency(1e-3);    // ~bucket 9/10
   const ServiceStats s = m.snapshot();
-  std::uint64_t total = 0;
-  for (std::uint64_t c : s.latency) total += c;
-  EXPECT_EQ(total, 3u);
-  EXPECT_GT(s.latency_quantile(1.0), s.latency_quantile(0.01));
-  EXPECT_LE(s.latency_quantile(0.01), ServiceStats::bucket_upper_seconds(0));
+  EXPECT_EQ(s.latency.count, 3u);
+  EXPECT_GT(s.latency.quantile(1.0), s.latency.quantile(0.01));
+  EXPECT_LE(s.latency.quantile(0.01),
+            obs::Histogram::Snapshot::bucket_upper(0));
 }
 
 }  // namespace
