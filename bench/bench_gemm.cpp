@@ -3,12 +3,15 @@
 // shapes plus square sweeps, with an informational int8 section comparing
 // the quantized qgemm_u7 kernel against packed fp32 on the same shapes.
 // Emits BENCH_gemm.json with GFLOP/s per shape so the bench trajectory has
-// machine-readable data points.
+// machine-readable data points. A training section (informational, no
+// gate) times the GEMMs of one conv training step at the selector's shapes.
 //
 // Flags: --reps <r> (default 7), --json <path> (default BENCH_gemm.json).
 #include <cstdio>
 #include <cstdint>
 #include <vector>
+
+#include <omp.h>
 
 #include "bench_common.hpp"
 #include "common/rng.hpp"
@@ -97,6 +100,64 @@ int main(int argc, char** argv) {
                 t_f / t_q);
   }
 
+  // Training section (informational, no gate): the conv GEMMs of one
+  // training step at batch 32 on the 32×16 representation, single thread:
+  // conv1's weight gradient and forward, conv2's weight and input
+  // gradients. The weight gradients accumulate (beta 1) as Conv2D's do.
+  struct TrainShape {
+    const char* name;
+    std::int64_t m, n, k;
+    double us, gflops;
+  };
+  std::vector<TrainShape> tshapes;
+  std::printf("\n=== training-step GEMMs (informational) ===\n\n");
+  std::printf("  %-15s %6s %6s %6s %10s %10s\n", "kernel", "m", "n", "k",
+              "us/call", "GF/s");
+  {
+    const int prev_threads = omp_get_max_threads();
+    omp_set_num_threads(1);
+    const auto time_shape = [&](const char* name, std::int64_t m,
+                                std::int64_t n, std::int64_t k,
+                                const auto& gemm) {
+      std::vector<float> a(static_cast<std::size_t>(m * k));
+      std::vector<float> b(static_cast<std::size_t>(k * n));
+      std::vector<float> c(static_cast<std::size_t>(m * n));
+      std::vector<float> bias(static_cast<std::size_t>(m));
+      for (auto& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      for (auto& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      for (auto& v : bias) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      const double sec = time_kernel(
+          [&] { gemm(m, n, k, a.data(), b.data(), c.data(), bias.data()); },
+          1, reps);
+      const double flops = 2.0 * static_cast<double>(m) *
+                           static_cast<double>(n) * static_cast<double>(k);
+      tshapes.push_back({name, m, n, k, sec * 1e6, flops / sec * 1e-9});
+      std::printf("  %-15s %6lld %6lld %6lld %10.1f %10.2f\n", name,
+                  static_cast<long long>(m), static_cast<long long>(n),
+                  static_cast<long long>(k), sec * 1e6, flops / sec * 1e-9);
+    };
+    const auto weight_grad = [](std::int64_t m, std::int64_t n, std::int64_t k,
+                                const float* a, const float* b, float* c,
+                                const float*) {
+      sgemm_bt(m, n, k, 1.0f, a, b, 1.0f, c);
+    };
+    const auto input_grad = [](std::int64_t m, std::int64_t n, std::int64_t k,
+                               const float* a, const float* b, float* c,
+                               const float*) {
+      sgemm_at(m, n, k, 1.0f, a, b, 0.0f, c);
+    };
+    const auto forward = [](std::int64_t m, std::int64_t n, std::int64_t k,
+                            const float* a, const float* b, float* c,
+                            const float* bias) {
+      sgemm_row_bias(m, n, k, 1.0f, a, b, 0.0f, c, bias);
+    };
+    time_shape("sgemm_bt", 12, 9, 16384, weight_grad);    // conv1 dW
+    time_shape("sgemm_bt", 24, 108, 1024, weight_grad);   // conv2 dW
+    time_shape("sgemm_at", 108, 1024, 24, input_grad);    // conv2 dX
+    time_shape("sgemm_row_bias", 12, 16384, 9, forward);  // conv1 forward
+    omp_set_num_threads(prev_threads);
+  }
+
   FILE* f = std::fopen(json_path.c_str(), "w");
   if (f) {
     std::fprintf(f, "{\n  \"bench\": \"gemm\",\n  \"shapes\": [\n");
@@ -121,6 +182,17 @@ int main(int argc, char** argv) {
                    static_cast<long long>(r.m), static_cast<long long>(r.n),
                    static_cast<long long>(r.k), r.fp32_gflops, r.int8_gops,
                    r.speedup, i + 1 < qresults.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"training_shapes\": [\n");
+    for (std::size_t i = 0; i < tshapes.size(); ++i) {
+      const TrainShape& t = tshapes[i];
+      std::fprintf(f,
+                   "    {\"kernel\": \"%s\", \"m\": %lld, \"n\": %lld, "
+                   "\"k\": %lld, \"us_per_call\": %.2f, "
+                   "\"gflops\": %.3f}%s\n",
+                   t.name, static_cast<long long>(t.m),
+                   static_cast<long long>(t.n), static_cast<long long>(t.k),
+                   t.us, t.gflops, i + 1 < tshapes.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"min_mergenet_speedup\": %.3f\n}\n",
                  min_speedup_merge);

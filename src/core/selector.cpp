@@ -32,12 +32,13 @@ std::uint64_t next_weights_id() {
   return last.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-}  // namespace
-
-Dataset build_dataset(const std::vector<LabeledMatrix>& labeled,
-                      const std::vector<Format>& candidates, RepMode mode,
-                      std::int64_t rep_rows, std::int64_t rep_bins,
-                      std::int64_t rep_sample_nnz) {
+// The CNN's training set: representations, times and labels. Training,
+// calibration and fit_spmm read nothing else, so the DT features are left
+// out.
+Dataset cnn_dataset(const std::vector<LabeledMatrix>& labeled,
+                    const std::vector<Format>& candidates, RepMode mode,
+                    std::int64_t rep_rows, std::int64_t rep_bins,
+                    std::int64_t rep_sample_nnz) {
   const StreamingRepBuilder builder(
       {mode, rep_rows, rep_bins, rep_sample_nnz, /*use_simd=*/true});
   Dataset ds;
@@ -46,12 +47,24 @@ Dataset build_dataset(const std::vector<LabeledMatrix>& labeled,
   for (const LabeledMatrix& lm : labeled) {
     Sample s;
     s.inputs = builder.build(*lm.matrix);
-    s.features = extract_features(*lm.matrix);
     s.format_times = lm.format_times;
     s.label = lm.label;
     s.gen_class = static_cast<std::int32_t>(lm.gen_class);
     ds.samples.push_back(std::move(s));
   }
+  return ds;
+}
+
+}  // namespace
+
+Dataset build_dataset(const std::vector<LabeledMatrix>& labeled,
+                      const std::vector<Format>& candidates, RepMode mode,
+                      std::int64_t rep_rows, std::int64_t rep_bins,
+                      std::int64_t rep_sample_nnz) {
+  Dataset ds = cnn_dataset(labeled, candidates, mode, rep_rows, rep_bins,
+                           rep_sample_nnz);
+  for (std::size_t i = 0; i < labeled.size(); ++i)
+    ds.samples[i].features = extract_features(*labeled[i].matrix);
   return ds;
 }
 
@@ -77,8 +90,8 @@ CnnSpec FormatSelector::make_spec() const {
 
 void FormatSelector::fit(const std::vector<LabeledMatrix>& labeled,
                          std::vector<Format> candidates) {
-  fit(build_dataset(labeled, candidates, opts_.mode, opts_.rep_rows,
-                    opts_.rep_bins, opts_.rep_sample_nnz));
+  fit(cnn_dataset(labeled, candidates, opts_.mode, opts_.rep_rows,
+                  opts_.rep_bins, opts_.rep_sample_nnz));
 }
 
 void FormatSelector::fit(const Dataset& train) {
@@ -96,8 +109,8 @@ void FormatSelector::fit(const Dataset& train) {
 void FormatSelector::fit_spmm(const std::vector<LabeledMatrix>& labeled) {
   DNNSPMV_CHECK_MSG(net_, "fit_spmm before fit: the SpMV head defines the "
                           "candidate set and representation geometry");
-  fit_spmm(build_dataset(labeled, candidates_, opts_.mode, opts_.rep_rows,
-                         opts_.rep_bins, opts_.rep_sample_nnz));
+  fit_spmm(cnn_dataset(labeled, candidates_, opts_.mode, opts_.rep_rows,
+                       opts_.rep_bins, opts_.rep_sample_nnz));
 }
 
 void FormatSelector::fit_spmm(const Dataset& train) {

@@ -53,7 +53,10 @@ struct SelectorOptions {
 
 /// Builds the CNN-ready dataset from labelled matrices: step 2 of Figure 3.
 /// Representations come from the same streaming sampled builder the serve
-/// path uses (same rep_sample_nnz => same tensors, bitwise).
+/// path uses (same rep_sample_nnz => same tensors, bitwise). Each sample
+/// also carries its DT feature vector for the decision-tree baselines;
+/// FormatSelector::fit and fit_spmm on labelled matrices build the same
+/// dataset without it.
 Dataset build_dataset(const std::vector<LabeledMatrix>& labeled,
                       const std::vector<Format>& candidates, RepMode mode,
                       std::int64_t rep_rows, std::int64_t rep_bins,

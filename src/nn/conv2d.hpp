@@ -3,8 +3,12 @@
 // The whole batch is lowered at once: forward builds a single
 // [patch_size, batch*out_pixels] column matrix and issues ONE GEMM with the
 // bias folded into its epilogue, so parallelism scales with the batch
-// rather than just out_channels. The col/staging matrices live in the
-// Workspace and are reused across calls. Batched and per-sample forward
+// rather than just out_channels. When a sample's output pixels fill whole
+// 16-column GEMM tiles (the selector's convs: 512 and 32 pixels), the GEMMs
+// write the output and read grad_out in NCHW directly; other geometries
+// stage them through [out_c, batch*out_pixels] matrices. The col/staging
+// matrices live in the Workspace and are reused across calls. Batched and
+// per-sample forward
 // produce bitwise-identical outputs (the GEMM's per-column accumulation
 // order is position-independent; tests/test_gemm_property.cpp holds this).
 //

@@ -51,7 +51,7 @@ void MergeNet::flatten_tower_outputs(Tensor& merged) {
     feat[t] = tower_out_[t].size() / batch;
     total += feat[t];
   }
-  merged.resize({batch, total});
+  merged.ensure({batch, total});
   for (std::int64_t b = 0; b < batch; ++b) {
     float* dst = merged.data() + b * total;
     for (std::size_t t = 0; t < towers_.size(); ++t) {

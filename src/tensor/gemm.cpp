@@ -6,6 +6,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/error.hpp"
 #include "tensor/pack.hpp"
 
 #ifdef _OPENMP
@@ -83,20 +84,30 @@ inline void accumulate(std::int64_t kc, const float* ap, const float* bp,
   }
 }
 
-// C = A·B for one full-width tile when no epilogue work exists (alpha 1,
-// beta 0, single depth block, no bias): accumulators never leave registers
-// and results store straight out. Bit-identical to the general path below
-// (1.0f*x and +0.0f are exact), it just skips the stack round-trip the
-// dynamically-indexed epilogue forces.
+// C = A·B (+ row bias) for one full-width tile when no other epilogue work
+// exists (alpha 1, beta 0, single depth block, no column bias):
+// accumulators never leave registers, the optional row bias is one add per
+// vector, and results store straight out. Bit-identical to the general
+// path below (1.0f*x and +0.0f are exact, and the bias add is the same
+// single add), it just skips the stack round-trip the dynamically-indexed
+// epilogue forces.
 template <int MR>
-inline void kernel_fused(std::int64_t kc, const float* ap, const float* bp,
-                         std::int64_t ldb, float* c, std::int64_t ldc) {
+[[gnu::always_inline]] inline void kernel_fused(
+    std::int64_t kc, const float* ap, const float* bp, std::int64_t ldb,
+    float* c, std::int64_t ldc, const float* row_bias) {
   __m256 acc0[MR], acc1[MR];
   for (int i = 0; i < MR; ++i) {
     acc0[i] = _mm256_setzero_ps();
     acc1[i] = _mm256_setzero_ps();
   }
   accumulate<MR>(kc, ap, bp, ldb, acc0, acc1);
+  if (row_bias) {
+    for (int i = 0; i < MR; ++i) {
+      const __m256 rb = _mm256_set1_ps(row_bias[i]);
+      acc0[i] = _mm256_add_ps(acc0[i], rb);
+      acc1[i] = _mm256_add_ps(acc1[i], rb);
+    }
+  }
   for (int i = 0; i < MR; ++i) {
     _mm256_storeu_ps(c + i * ldc, acc0[i]);
     _mm256_storeu_ps(c + i * ldc + 8, acc1[i]);
@@ -104,18 +115,19 @@ inline void kernel_fused(std::int64_t kc, const float* ap, const float* bp,
 }
 
 // Small dispatcher the driver calls directly on the no-epilogue fast path;
-// being a lean leaf it inlines into the tile loop, skipping the full
-// micro_kernel's argument setup and branch tree per tile.
-inline void kernel_fused_dispatch(std::int64_t kc, const float* ap,
-                                  const float* bp, std::int64_t ldb, float* c,
-                                  std::int64_t ldc, std::int64_t mr) {
+// forced inline into the tile loop (a call per tile costs a conv1 forward
+// about a third of its time), it skips the full micro_kernel's argument
+// setup and branch tree per tile.
+[[gnu::always_inline]] inline void kernel_fused_dispatch(
+    std::int64_t kc, const float* ap, const float* bp, std::int64_t ldb,
+    float* c, std::int64_t ldc, std::int64_t mr, const float* row_bias) {
   switch (mr) {
-    case 1: kernel_fused<1>(kc, ap, bp, ldb, c, ldc); return;
-    case 2: kernel_fused<2>(kc, ap, bp, ldb, c, ldc); return;
-    case 3: kernel_fused<3>(kc, ap, bp, ldb, c, ldc); return;
-    case 4: kernel_fused<4>(kc, ap, bp, ldb, c, ldc); return;
-    case 5: kernel_fused<5>(kc, ap, bp, ldb, c, ldc); return;
-    default: kernel_fused<6>(kc, ap, bp, ldb, c, ldc); return;
+    case 1: kernel_fused<1>(kc, ap, bp, ldb, c, ldc, row_bias); return;
+    case 2: kernel_fused<2>(kc, ap, bp, ldb, c, ldc, row_bias); return;
+    case 3: kernel_fused<3>(kc, ap, bp, ldb, c, ldc, row_bias); return;
+    case 4: kernel_fused<4>(kc, ap, bp, ldb, c, ldc, row_bias); return;
+    case 5: kernel_fused<5>(kc, ap, bp, ldb, c, ldc, row_bias); return;
+    default: kernel_fused<6>(kc, ap, bp, ldb, c, ldc, row_bias); return;
   }
 }
 
@@ -124,9 +136,9 @@ void micro_kernel(std::int64_t kc, const float* ap, const float* bp,
                   std::int64_t mr, std::int64_t nr, float alpha, float beta,
                   bool first, bool last, const float* row_bias,
                   const float* col_bias) {
-  if (alpha == 1.0f && beta == 0.0f && first && last && !row_bias &&
-      !col_bias && nr == kNR) {
-    kernel_fused_dispatch(kc, ap, bp, ldb, c, ldc, mr);
+  if (alpha == 1.0f && beta == 0.0f && first && last && !col_bias &&
+      nr == kNR) {
+    kernel_fused_dispatch(kc, ap, bp, ldb, c, ldc, mr, row_bias);
     return;
   }
   __m256 acc0[kMR], acc1[kMR];
@@ -243,12 +255,54 @@ void micro_kernel(std::int64_t kc, const float* ap, const float* bp,
 // skip, so it just forwards.
 inline void kernel_fused_dispatch(std::int64_t kc, const float* ap,
                                   const float* bp, std::int64_t ldb, float* c,
-                                  std::int64_t ldc, std::int64_t mr) {
+                                  std::int64_t ldc, std::int64_t mr,
+                                  const float* row_bias) {
   micro_kernel(kc, ap, bp, ldb, c, ldc, mr, kNR, 1.0f, 0.0f, true, true,
-               nullptr, nullptr);
+               row_bias, nullptr);
 }
 
 #endif  // DNNSPMV_GEMM_AVX2
+
+// Where logical element (r, j) of an operand lives. A plain matrix keeps
+// it at r*rs + j*cs. A batched operand (jb > 0) is a conv activation: the
+// matrix [rows, batch·jb] stored as the NCHW tensor [batch, rows, jb], so
+// j splits into sample j / jb and pixel j % jb, and samples lie jbs floats
+// apart. The batched index is a column of B and C and a depth of A.
+struct Layout {
+  std::int64_t rs, cs;
+  std::int64_t jb = 0, jbs = 0;
+
+  std::int64_t at(std::int64_t r, std::int64_t j) const {
+    return jb == 0 ? r * rs + j * cs
+                   : r * rs + (j / jb) * jbs + (j % jb) * cs;
+  }
+};
+
+// The matrix [rows, batch·pix] held as the NCHW tensor [batch, rows, pix].
+Layout nchw(std::int64_t rows, std::int64_t pix) {
+  return {pix, 1, pix, rows * pix};
+}
+
+// Offsets of successive tiles' first columns in one Layout, starting at
+// column j0 and advancing kNR columns per step, so a tile sweep divides
+// only where it starts. A batched layout's jb is a multiple of kNR, so no
+// tile straddles two samples.
+struct ColWalk {
+  std::int64_t base, j, jb, jbs, cs;
+
+  ColWalk(const Layout& l, std::int64_t r, std::int64_t j0)
+      : j(l.jb ? j0 % l.jb : j0), jb(l.jb), jbs(l.jbs), cs(l.cs) {
+    base = l.at(r, j0) - j * cs;
+  }
+  std::int64_t offset() const { return base + j * cs; }
+  void next() {
+    j += kNR;
+    if (j == jb) {  // a plain layout (jb == 0) never wraps
+      j = 0;
+      base += jbs;
+    }
+  }
+};
 
 // One thread's contiguous share of the (jp, ip) tile sweep for a single
 // (jc, pc, ic) block. Passed by value: every field becomes a plain local,
@@ -261,7 +315,7 @@ struct TileRange {
   std::int64_t jp0, jp1, jc, ic, pc, mend, n, kc, mb;
   float alpha, beta;
   bool first, last, fused, direct_b;
-  std::int64_t rs_b;
+  Layout lb, lc;
   const float* b;
   float* c;
   const float* abuf;
@@ -271,31 +325,34 @@ struct TileRange {
 };
 
 void tile_range(const TileRange t) {
-  for (std::int64_t jp = t.jp0; jp < t.jp1; ++jp) {
+  const std::int64_t ldc = t.lc.rs;
+  ColWalk bcol(t.lb, t.pc, t.jc + t.jp0 * kNR);
+  ColWalk ccol(t.lc, 0, t.jc + t.jp0 * kNR);
+  for (std::int64_t jp = t.jp0; jp < t.jp1; ++jp, bcol.next(), ccol.next()) {
     const std::int64_t j0 = t.jc + jp * kNR;
     const std::int64_t nr = std::min(t.n - j0, kNR);
     const float* bp = t.bbuf + jp * t.kc * kNR;
     std::int64_t ldb = kNR;
     if (t.direct_b && nr == kNR) {
-      bp = t.b + t.pc * t.rs_b + j0;
-      ldb = t.rs_b;
+      bp = t.b + bcol.offset();
+      ldb = t.lb.rs;
     } else if (t.direct_b) {
       bp = t.bbuf;  // the one packed tail panel
     }
+    float* ct = t.c + ccol.offset();
     if (t.fused && nr == kNR) {
       for (std::int64_t ip = 0; ip < t.mb; ++ip) {
         const std::int64_t i0 = t.ic + ip * kMR;
         kernel_fused_dispatch(t.kc, t.abuf + ip * t.kc * kMR, bp, ldb,
-                              t.c + i0 * t.n + j0, t.n,
-                              std::min(t.mend - i0, kMR));
+                              ct + i0 * ldc, ldc, std::min(t.mend - i0, kMR),
+                              t.row_bias ? t.row_bias + i0 : nullptr);
       }
     } else {
       for (std::int64_t ip = 0; ip < t.mb; ++ip) {
         const std::int64_t i0 = t.ic + ip * kMR;
         const std::int64_t mr = std::min(t.mend - i0, kMR);
-        micro_kernel(t.kc, t.abuf + ip * t.kc * kMR, bp, ldb,
-                     t.c + i0 * t.n + j0, t.n, mr, nr, t.alpha, t.beta,
-                     t.first, t.last,
+        micro_kernel(t.kc, t.abuf + ip * t.kc * kMR, bp, ldb, ct + i0 * ldc,
+                     ldc, mr, nr, t.alpha, t.beta, t.first, t.last,
                      t.row_bias ? t.row_bias + i0 : nullptr,
                      t.col_bias ? t.col_bias + j0 : nullptr);
       }
@@ -303,45 +360,91 @@ void tile_range(const TileRange t) {
   }
 }
 
+// Runs a block's tiles [0, all.jp1): on one thread directly, or split into
+// contiguous per-thread ranges, the schedule(static) split. Each tile is
+// owned by one thread, so results are the same at any thread count.
+void run_tiles(const TileRange& all, bool team) {
+  if (!team) {
+    tile_range(all);
+    return;
+  }
+#pragma omp parallel
+  {
+#ifdef _OPENMP
+    const std::int64_t nth = omp_get_num_threads();
+    const std::int64_t tid = omp_get_thread_num();
+#else
+    const std::int64_t nth = 1, tid = 0;
+#endif
+    const std::int64_t chunk = ceil_div(all.jp1, nth);
+    TileRange mine = all;
+    mine.jp0 = tid * chunk;
+    mine.jp1 = std::min(all.jp1, mine.jp0 + chunk);
+    if (mine.jp0 < mine.jp1) tile_range(mine);
+  }
+}
+
+// Packs A rows [i0, i0+rows) over depths [p0, p0+kc) into one panel, one
+// pack_a_panel call per run of depths contiguous in memory (a batched
+// layout breaks the runs at sample boundaries).
+void pack_a_block(std::int64_t rows, std::int64_t kc, const float* a,
+                  const Layout& la, std::int64_t i0, std::int64_t p0,
+                  float* dst) {
+  for (std::int64_t p = p0, end = p0 + kc; p < end;) {
+    const std::int64_t run =
+        la.jb ? std::min(end - p, la.jb - p % la.jb) : end - p;
+    pack_a_panel(rows, run, a + la.at(i0, p), la.rs, la.cs,
+                 dst + (p - p0) * kMR);
+    p += run;
+  }
+}
+
 // Degenerate case (k == 0 or alpha == 0): C = beta*C + biases. Runs the
 // whole O(m·n) pass under OpenMP — this replaces the seed's serial
 // scale_c.
 void epilogue_only(std::int64_t m, std::int64_t n, float beta, float* c,
-                   const float* row_bias, const float* col_bias) {
+                   const Layout& lc, const float* row_bias,
+                   const float* col_bias) {
 #pragma omp parallel for schedule(static)
   for (std::int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
     const float rb = row_bias ? row_bias[i] : 0.0f;
     for (std::int64_t j = 0; j < n; ++j) {
-      float v = (beta == 0.0f) ? 0.0f : beta * crow[j];
+      float& cv = c[lc.at(i, j)];
+      float v = (beta == 0.0f) ? 0.0f : beta * cv;
       v += rb;
       if (col_bias) v += col_bias[j];
-      crow[j] = v;
+      cv = v;
     }
   }
 }
 
-// Shared driver for every public variant. The logical operands are
-// A[m,k] with element (i,p) at a[i*rs_a + p*cs_a] and B[k,n] with element
-// (p,j) at b[p*rs_b + j*cs_b]; transposed variants just swap strides.
+// Shared driver for every public variant: logical operands A[m,k], B[k,n]
+// and C[m,n] placed by their Layouts (transposed variants swap strides).
 void gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-                 const float* a, std::int64_t rs_a, std::int64_t cs_a,
-                 const float* b, std::int64_t rs_b, std::int64_t cs_b,
-                 float beta, float* c, const float* row_bias,
-                 const float* col_bias) {
+                 const float* a, const Layout& la, const float* b,
+                 const Layout& lb, float beta, float* c, const Layout& lc,
+                 const float* row_bias, const float* col_bias) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0 || alpha == 0.0f) {
-    epilogue_only(m, n, beta, c, row_bias, col_bias);
+    epilogue_only(m, n, beta, c, lc, row_bias, col_bias);
     return;
   }
 
-  // When B is row-major and all of A fits one MC block, each B panel is
-  // consumed exactly once per depth block — packing it would only add a
-  // copy pass. Feed full-width tiles straight from B instead (the kernel
-  // takes the row stride); only the ragged last panel still gets packed,
-  // so the kernel never reads past a row end. This is the case for every
-  // forward conv/dense GEMM (m = channels/batch, n = batch·pixels).
-  const bool direct_b = cs_b == 1 && m <= kMC;
+  // When B's columns are contiguous and all of A fits one MC block, each B
+  // panel is consumed exactly once per depth block — packing it would only
+  // add a copy pass. Feed full-width tiles straight from B instead (the
+  // kernel takes the row stride); only the ragged last panel still gets
+  // packed, so the kernel never reads past a row end. This is the case for
+  // every forward conv/dense GEMM (m = channels/batch, n = batch·pixels).
+  const bool direct_b = lb.cs == 1 && m <= kMC;
+#ifdef _OPENMP
+  // With a one-thread team the work is called directly: opening two OpenMP
+  // regions per depth block costs more than some blocks' whole work (conv
+  // dW's 256-deep blocks of a 12×9 result).
+  const bool team = omp_get_max_threads() > 1;
+#else
+  const bool team = false;
+#endif
 
   PackBuffers& buf = tls_buffers();
   const std::int64_t kc_max = std::min(k, kKC);
@@ -359,54 +462,42 @@ void gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
       const std::int64_t kc = std::min(k - pc, kKC);
       const bool first = pc == 0;
       const bool last = pc + kc == k;
-      // No epilogue work at all for this depth block → full-width tiles can
-      // take the store-straight-out kernel without re-testing per tile.
-      const bool fused = alpha == 1.0f && beta == 0.0f && first && last &&
-                         !row_bias && !col_bias;
+      // No epilogue work beyond a row bias for this depth block → full-width
+      // tiles can take the store-straight-out kernel without re-testing per
+      // tile.
+      const bool fused =
+          alpha == 1.0f && beta == 0.0f && first && last && !col_bias;
+      const auto pack_b = [&](std::int64_t jp) {
+        const std::int64_t j0 = jp * kNR;
+        pack_b_panel(kc, std::min(nc - j0, kNR), b + lb.at(pc, jc + j0),
+                     lb.rs, lb.cs, bbuf + jp * kc * kNR);
+      };
       if (direct_b) {
         if (nc % kNR != 0) {
           const std::int64_t j0 = (nb - 1) * kNR;
-          pack_b_panel(kc, nc - j0, b + pc * rs_b + (jc + j0), rs_b, 1, bbuf);
+          pack_b_panel(kc, nc - j0, b + lb.at(pc, jc + j0), lb.rs, 1, bbuf);
         }
-      } else {
+      } else if (team) {
 #pragma omp parallel for schedule(static)
-        for (std::int64_t jp = 0; jp < nb; ++jp) {
-          const std::int64_t j0 = jp * kNR;
-          pack_b_panel(kc, std::min(nc - j0, kNR),
-                       b + pc * rs_b + (jc + j0) * cs_b, rs_b, cs_b,
-                       bbuf + jp * kc * kNR);
-        }
+        for (std::int64_t jp = 0; jp < nb; ++jp) pack_b(jp);
+      } else {
+        for (std::int64_t jp = 0; jp < nb; ++jp) pack_b(jp);
       }
       for (std::int64_t ic = 0; ic < m; ic += kMC) {
         const std::int64_t mc = std::min(m - ic, kMC);
         const std::int64_t mb = ceil_div(mc, kMR);
         for (std::int64_t ip = 0; ip < mb; ++ip) {
           const std::int64_t i0 = ip * kMR;
-          pack_a_panel(std::min(mc - i0, kMR), kc,
-                       a + (ic + i0) * rs_a + pc * cs_a, rs_a, cs_a,
+          pack_a_block(std::min(mc - i0, kMR), kc, a, la, ic + i0, pc,
                        abuf + ip * kc * kMR);
         }
-        // Each (jp, ip) tile is owned by one thread, and the contiguous
-        // static split below matches schedule(static): deterministic
-        // results at any thread count. tile_range (plain value arguments,
-        // no OpenMP closure) keeps the per-tile loop free of the shared-
-        // variable indirection GCC emits inside outlined regions.
-#pragma omp parallel
-        {
-#ifdef _OPENMP
-          const std::int64_t nth = omp_get_num_threads();
-          const std::int64_t tid = omp_get_thread_num();
-#else
-          const std::int64_t nth = 1, tid = 0;
-#endif
-          const std::int64_t chunk = ceil_div(nb, nth);
-          const std::int64_t jp0 = tid * chunk;
-          const std::int64_t jp1 = std::min(nb, jp0 + chunk);
-          if (jp0 < jp1)
-            tile_range({jp0, jp1, jc, ic, pc, ic + mc, n, kc, mb, alpha,
-                        beta, first, last, fused, direct_b, rs_b, b, c, abuf,
-                        bbuf, row_bias, col_bias});
-        }
+        // tile_range (plain value arguments, no OpenMP closure) keeps the
+        // per-tile loop free of the shared-variable indirection GCC emits
+        // inside outlined regions.
+        run_tiles({0, nb, jc, ic, pc, ic + mc, n, kc, mb, alpha, beta, first,
+                   last, fused, direct_b, lb, lc, b, c, abuf, bbuf, row_bias,
+                   col_bias},
+                  team);
       }
     }
   }
@@ -760,31 +851,47 @@ void qgemm_u7_ref(const QGemmWeights& a, std::int64_t n,
 
 void sgemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
            const float* a, const float* b, float beta, float* c) {
-  gemm_driver(m, n, k, alpha, a, k, 1, b, n, 1, beta, c, nullptr, nullptr);
+  gemm_driver(m, n, k, alpha, a, {k, 1}, b, {n, 1}, beta, c, {n, 1}, nullptr,
+              nullptr);
 }
 
 void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const float* a, const float* b, float beta, float* c) {
+              const float* a, const float* b, float beta, float* c,
+              std::int64_t b_pix) {
+  DNNSPMV_CHECK_MSG(
+      b_pix == 0 || (b_pix > 0 && b_pix % kNR == 0 && n % b_pix == 0),
+      "NCHW B needs pixels a multiple of " << kNR << " dividing n");
   // A stored k×m: logical A[i,p] = a[p*m + i].
-  gemm_driver(m, n, k, alpha, a, 1, m, b, n, 1, beta, c, nullptr, nullptr);
+  gemm_driver(m, n, k, alpha, a, {1, m}, b,
+              b_pix ? nchw(k, b_pix) : Layout{n, 1}, beta, c, {n, 1}, nullptr,
+              nullptr);
 }
 
 void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const float* a, const float* b, float beta, float* c) {
+              const float* a, const float* b, float beta, float* c,
+              std::int64_t a_pix) {
+  DNNSPMV_CHECK_MSG(a_pix == 0 || (a_pix > 0 && k % a_pix == 0),
+                    "NCHW A needs pixels dividing k");
   // B stored n×k: logical B[p,j] = b[j*k + p].
-  gemm_driver(m, n, k, alpha, a, k, 1, b, 1, k, beta, c, nullptr, nullptr);
+  gemm_driver(m, n, k, alpha, a, a_pix ? nchw(m, a_pix) : Layout{k, 1}, b,
+              {1, k}, beta, c, {n, 1}, nullptr, nullptr);
 }
 
 void sgemm_row_bias(std::int64_t m, std::int64_t n, std::int64_t k,
                     float alpha, const float* a, const float* b, float beta,
-                    float* c, const float* row_bias) {
-  gemm_driver(m, n, k, alpha, a, k, 1, b, n, 1, beta, c, row_bias, nullptr);
+                    float* c, const float* row_bias, std::int64_t c_pix) {
+  DNNSPMV_CHECK_MSG(
+      c_pix == 0 || (c_pix > 0 && c_pix % kNR == 0 && n % c_pix == 0),
+      "NCHW C needs pixels a multiple of " << kNR << " dividing n");
+  gemm_driver(m, n, k, alpha, a, {k, 1}, b, {n, 1}, beta, c,
+              c_pix ? nchw(m, c_pix) : Layout{n, 1}, row_bias, nullptr);
 }
 
 void sgemm_bt_col_bias(std::int64_t m, std::int64_t n, std::int64_t k,
                        float alpha, const float* a, const float* b,
                        float beta, float* c, const float* col_bias) {
-  gemm_driver(m, n, k, alpha, a, k, 1, b, 1, k, beta, c, nullptr, col_bias);
+  gemm_driver(m, n, k, alpha, a, {k, 1}, b, {1, k}, beta, c, {n, 1}, nullptr,
+              col_bias);
 }
 
 }  // namespace dnnspmv

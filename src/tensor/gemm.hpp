@@ -2,8 +2,8 @@
 //
 // C = alpha * op(A) * op(B) + beta * C with row-major storage. All variants
 // share one packed, register-blocked driver (BLIS-style): operands are
-// packed into cache-resident kMR/kNR panels (pack.hpp) and multiplied by an
-// 8×8 micro-kernel — portable C++ by default, AVX2/FMA when the library is
+// packed into cache-resident kMR/kNR panels (pack.hpp) and multiplied by a
+// 6×16 micro-kernel — portable C++ by default, AVX2/FMA when the library is
 // built with DNNSPMV_SIMD (see DESIGN.md). Results are deterministic and
 // independent of thread count: every output tile is accumulated by exactly
 // one thread in a fixed depth order.
@@ -11,6 +11,13 @@
 // The *_bias variants fold a bias add into the GEMM epilogue (applied once,
 // after the final depth block), which is how Conv2D and Dense avoid a
 // second pass over their outputs.
+//
+// The `*_pix` parameters let a conv layer hand over its NCHW activations
+// as they are: with pix > 0 the named operand is the matrix
+// [rows, batch·pix] stored as the NCHW tensor [batch, rows, pix], so its
+// batched index j is pixel j % pix of sample j / pix. The arithmetic per
+// output element is unchanged; only where operands are read and results
+// written moves.
 #pragma once
 
 #include <cstdint>
@@ -23,18 +30,26 @@ void sgemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
            const float* a, const float* b, float beta, float* c);
 
 /// C[m,n] = alpha*A^T[k,m]*B[k,n] + beta*C (A stored k×m row-major).
+/// With b_pix > 0, B is the NCHW tensor [n / b_pix, k, b_pix] (conv dX
+/// reading grad_out); b_pix must be a multiple of 16 that divides n.
 void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const float* a, const float* b, float beta, float* c);
+              const float* a, const float* b, float beta, float* c,
+              std::int64_t b_pix = 0);
 
 /// C[m,n] = alpha*A[m,k]*B^T[n,k] + beta*C (B stored n×k row-major).
+/// With a_pix > 0, A is the NCHW tensor [k / a_pix, m, a_pix] (conv dW
+/// reading grad_out); a_pix must divide k.
 void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const float* a, const float* b, float beta, float* c);
+              const float* a, const float* b, float beta, float* c,
+              std::int64_t a_pix = 0);
 
 /// sgemm, then C[i,:] += row_bias[i] folded into the epilogue (may be
-/// null). The conv forward path: rows are output channels.
+/// null). The conv forward path: rows are output channels. With c_pix > 0,
+/// C is the NCHW tensor [n / c_pix, m, c_pix] (the layer's output); c_pix
+/// must be a multiple of 16 that divides n.
 void sgemm_row_bias(std::int64_t m, std::int64_t n, std::int64_t k,
                     float alpha, const float* a, const float* b, float beta,
-                    float* c, const float* row_bias);
+                    float* c, const float* row_bias, std::int64_t c_pix = 0);
 
 /// sgemm_bt, then C[:,j] += col_bias[j] folded into the epilogue (may be
 /// null). The dense forward path: columns are output features.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
+#include <vector>
 
 #if defined(DNNSPMV_SIMD) && defined(__AVX2__)
 #define DNNSPMV_IM2COL_SIMD 1
@@ -211,6 +212,80 @@ void col2im_one(const ConvGeom& g, const float* col, float* im,
   }
 }
 
+// The patch offset table of a geometry: entry r*opix + q is the offset
+// (iy*width + ix) within a channel plane that patch row r (kernel position
+// kh*kernel_w + kw) reads for output pixel q, or -1 where that position is
+// padding. Strided lowering walks it instead of the row-wise bounds logic,
+// whose per-row set-up dominates when output rows are a few pixels long.
+std::vector<std::int32_t> patch_offsets(const ConvGeom& g) {
+  const std::int64_t oh = g.out_h(), ow = g.out_w();
+  std::vector<std::int32_t> off(
+      static_cast<std::size_t>(g.kernel_h * g.kernel_w * oh * ow));
+  std::size_t e = 0;
+  for (std::int64_t kh = 0; kh < g.kernel_h; ++kh)
+    for (std::int64_t kw = 0; kw < g.kernel_w; ++kw)
+      for (std::int64_t y = 0; y < oh; ++y)
+        for (std::int64_t x = 0; x < ow; ++x, ++e) {
+          const std::int64_t iy = y * g.stride_h + kh - g.pad_h;
+          const std::int64_t ix = x * g.stride_w + kw - g.pad_w;
+          off[e] = iy >= 0 && iy < g.height && ix >= 0 && ix < g.width
+                       ? static_cast<std::int32_t>(iy * g.width + ix)
+                       : -1;
+        }
+  return off;
+}
+
+// Batched lowering and scatter through the offset table: the same values
+// as im2col_one / col2im_one, and col2im adds in their order (channel,
+// kernel position, output pixel).
+void im2col_table(const ConvGeom& g, const std::int32_t* off,
+                  const float* im, float* col, std::int64_t ldc) {
+  const std::int64_t opix = g.out_h() * g.out_w();
+  const std::int64_t kk = g.kernel_h * g.kernel_w;
+  const std::int64_t plane = g.height * g.width;
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    const float* imc = im + c * plane;
+    for (std::int64_t r = 0; r < kk; ++r) {
+      const std::int32_t* o = off + r * opix;
+      float* out = col + (c * kk + r) * ldc;
+      std::int64_t q = 0;
+#ifdef DNNSPMV_IM2COL_SIMD
+      // Eight pixels per masked gather: padding lanes load nothing and
+      // keep the +0.0f the scalar loop writes.
+      for (; q + 8 <= opix; q += 8) {
+        const __m256i idx =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o + q));
+        const __m256 inside = _mm256_castsi256_ps(
+            _mm256_cmpgt_epi32(idx, _mm256_set1_epi32(-1)));
+        const __m256 v = _mm256_mask_i32gather_ps(_mm256_setzero_ps(), imc,
+                                                  idx, inside, sizeof(float));
+        _mm256_storeu_ps(out + q, v);
+      }
+#endif
+      for (; q < opix; ++q) {
+        const float v = imc[std::max<std::int32_t>(o[q], 0)];
+        out[q] = o[q] >= 0 ? v : 0.0f;
+      }
+    }
+  }
+}
+
+void col2im_table(const ConvGeom& g, const std::int32_t* off,
+                  const float* col, float* im, std::int64_t ldc) {
+  const std::int64_t opix = g.out_h() * g.out_w();
+  const std::int64_t kk = g.kernel_h * g.kernel_w;
+  const std::int64_t plane = g.height * g.width;
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    float* imc = im + c * plane;
+    for (std::int64_t r = 0; r < kk; ++r) {
+      const std::int32_t* o = off + r * opix;
+      const float* src = col + (c * kk + r) * ldc;
+      for (std::int64_t q = 0; q < opix; ++q)
+        if (o[q] >= 0) imc[o[q]] += src[q];
+    }
+  }
+}
+
 }  // namespace
 
 void im2col(const ConvGeom& g, const float* im, float* col) {
@@ -227,6 +302,13 @@ void im2col_batch(const ConvGeom& g, std::int64_t batch, const float* im,
   const std::int64_t opix = g.out_h() * g.out_w();
   const std::int64_t imsz = g.channels * g.height * g.width;
   const std::int64_t ldc = batch * opix;
+  if (g.stride_h > 1 || g.stride_w > 1) {
+    const std::vector<std::int32_t> off = patch_offsets(g);
+#pragma omp parallel for schedule(static) if (batch > 1)
+    for (std::int64_t n = 0; n < batch; ++n)
+      im2col_table(g, off.data(), im + n * imsz, col + n * opix, ldc);
+    return;
+  }
 #pragma omp parallel for schedule(static) if (batch > 1)
   for (std::int64_t n = 0; n < batch; ++n)
     im2col_one(g, im + n * imsz, col + n * opix, ldc, 0.0f);
@@ -248,11 +330,17 @@ void col2im_batch(const ConvGeom& g, std::int64_t batch, const float* col,
   const std::int64_t opix = g.out_h() * g.out_w();
   const std::int64_t imsz = g.channels * g.height * g.width;
   const std::int64_t ldc = batch * opix;
+  const bool strided = g.stride_h > 1 || g.stride_w > 1;
+  const std::vector<std::int32_t> off =
+      strided ? patch_offsets(g) : std::vector<std::int32_t>();
 #pragma omp parallel for schedule(static)
   for (std::int64_t n = 0; n < batch; ++n) {
     float* dst = im + n * imsz;
     std::fill(dst, dst + imsz, 0.0f);
-    col2im_one(g, col + n * opix, dst, ldc);
+    if (strided)
+      col2im_table(g, off.data(), col + n * opix, dst, ldc);
+    else
+      col2im_one(g, col + n * opix, dst, ldc);
   }
 }
 

@@ -10,12 +10,67 @@
 
 namespace dnnspmv {
 
+#ifdef DNNSPMV_PACK_SIMD
+namespace {
+
+// In-register transpose of eight 8-float rows: on return r[t] holds column
+// t, that is r[t][i] is row i's element t.
+inline void transpose8x8(__m256 r[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, 0x44);
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, 0x44);
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, 0x44);
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, 0x44);
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+}  // namespace
+#endif
+
 void pack_a_panel(std::int64_t rows, std::int64_t kc, const float* a,
                   std::int64_t rs, std::int64_t cs, float* dst) {
   if (rows == kMR && cs == 1) {
     // Contiguous depth walk per row (the sgemm_at layout, rs == 1, lands in
     // the generic branch below, where the i-walk is the contiguous one).
-    for (std::int64_t p = 0; p < kc; ++p)
+    std::int64_t p = 0;
+#ifdef DNNSPMV_PACK_SIMD
+    // Eight depths of the six rows at a time, transposed in registers (two
+    // zero rows pad the 8×8 block). Depth t's six floats go to dst + t*6;
+    // each 8-wide store spills two floats into depth t+1's slot, which the
+    // next store overwrites, and the block's last depth stores exactly six.
+    for (; p + 8 <= kc; p += 8) {
+      __m256 r[8];
+      for (std::int64_t i = 0; i < kMR; ++i)
+        r[i] = _mm256_loadu_ps(a + i * rs + p);
+      r[6] = r[7] = _mm256_setzero_ps();
+      transpose8x8(r);
+      float* out = dst + p * kMR;
+      for (std::int64_t t = 0; t < 7; ++t)
+        _mm256_storeu_ps(out + t * kMR, r[t]);
+      _mm_storeu_ps(out + 7 * kMR, _mm256_castps256_ps128(r[7]));
+      _mm_storel_pi(reinterpret_cast<__m64*>(out + 7 * kMR + 4),
+                    _mm256_extractf128_ps(r[7], 1));
+    }
+#endif
+    for (; p < kc; ++p)
       for (std::int64_t i = 0; i < kMR; ++i)
         dst[p * kMR + i] = a[i * rs + p];
     return;
@@ -34,7 +89,26 @@ void pack_b_panel(std::int64_t kc, std::int64_t cols, const float* b,
       std::memcpy(dst + p * kNR, b + p * rs, kNR * sizeof(float));
     return;
   }
-  for (std::int64_t p = 0; p < kc; ++p) {
+  std::int64_t p0 = 0;
+#ifdef DNNSPMV_PACK_SIMD
+  if (rs == 1) {
+    // Contiguous depth per column (the B^T of sgemm_bt): eight depths of
+    // eight columns at a time, transposed in registers. Columns past
+    // `cols` load as zero rows, which become the panel's zero padding.
+    for (; p0 + 8 <= kc; p0 += 8) {
+      for (std::int64_t j0 = 0; j0 < kNR; j0 += 8) {
+        __m256 r[8];
+        for (std::int64_t t = 0; t < 8; ++t)
+          r[t] = j0 + t < cols ? _mm256_loadu_ps(b + (j0 + t) * cs + p0)
+                               : _mm256_setzero_ps();
+        transpose8x8(r);
+        for (std::int64_t t = 0; t < 8; ++t)
+          _mm256_storeu_ps(dst + (p0 + t) * kNR + j0, r[t]);
+      }
+    }
+  }
+#endif
+  for (std::int64_t p = p0; p < kc; ++p) {
     float* out = dst + p * kNR;
     for (std::int64_t j = 0; j < cols; ++j) out[j] = b[p * rs + j * cs];
     for (std::int64_t j = cols; j < kNR; ++j) out[j] = 0.0f;

@@ -4,20 +4,30 @@
 #include <cmath>
 
 namespace dnnspmv {
+namespace {
 
-void Tensor::resize(std::vector<std::int64_t> shape) {
+std::size_t element_count(const std::vector<std::int64_t>& shape) {
   std::int64_t n = 1;
   for (auto d : shape) {
     DNNSPMV_CHECK_MSG(d >= 0, "negative tensor dimension " << d);
     n *= d;
   }
+  return static_cast<std::size_t>(n);
+}
+
+}  // namespace
+
+void Tensor::resize(std::vector<std::int64_t> shape) {
+  const std::size_t n = element_count(shape);
   shape_ = std::move(shape);
-  data_.assign(static_cast<std::size_t>(n), 0.0f);
+  data_.assign(n, 0.0f);
 }
 
 void Tensor::ensure(std::vector<std::int64_t> shape) {
   if (shape_ == shape) return;
-  resize(std::move(shape));
+  const std::size_t n = element_count(shape);
+  shape_ = std::move(shape);
+  data_.resize(n);
 }
 
 void Tensor::reshape(std::vector<std::int64_t> shape) {

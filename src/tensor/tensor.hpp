@@ -27,9 +27,11 @@ class Tensor {
 
   void resize(std::vector<std::int64_t> shape);
 
-  /// Like resize, but when the tensor already has exactly `shape` the data
-  /// is left untouched (no zero-fill pass). For producers that overwrite
-  /// every element — keeps steady-state forward passes allocation- and
+  /// Gives the tensor `shape` for a producer that overwrites every
+  /// element: the buffer is kept, so elements up to the old size keep
+  /// their stale values and only those past it start at zero (no zero-fill
+  /// pass, and no allocation once the buffer has held the largest shape).
+  /// Keeps steady-state forward and backward passes allocation- and
   /// memset-free.
   void ensure(std::vector<std::int64_t> shape);
 
@@ -40,7 +42,7 @@ class Tensor {
   /// on this.
   void ensure2(std::int64_t r, std::int64_t c) {
     if (shape_.size() == 2 && shape_[0] == r && shape_[1] == c) return;
-    resize({r, c});
+    ensure({r, c});
   }
 
   const std::vector<std::int64_t>& shape() const { return shape_; }

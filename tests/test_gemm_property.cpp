@@ -9,6 +9,8 @@
 //    calls). This is the invariant the batched conv relies on.
 // 3. ConvBatchStability.*: Conv2D's batched forward (one [psz, N*opix]
 //    im2col + one GEMM) equals per-sample forward bitwise.
+// 4. PackPanels.*: the A and B panel packers equal a scalar reference
+//    bitwise at every edge width, depth and stride orientation.
 #include "tensor/gemm.hpp"
 
 #include <gtest/gtest.h>
@@ -16,9 +18,11 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "nn/conv2d.hpp"
+#include "tensor/pack.hpp"
 #include "tensor/tensor.hpp"
 
 namespace dnnspmv {
@@ -171,6 +175,31 @@ TEST(GemmProperty, BiasEpilogueVariantsMatchNaive) {
   }
 }
 
+// The conv forward's row bias lands after the whole reduction, one float
+// add per output: bitwise the plain product plus the bias, at every tile
+// shape and across the 256-deep block boundary.
+TEST(GemmProperty, RowBiasEqualsProductPlusBiasBitwise) {
+  Rng rng(20240809);
+  for (const GemmCase& cs : kCases) {
+    Tensor a({cs.m, cs.k}), b({cs.k, cs.n}), rb({cs.m});
+    a.fill_uniform(rng, -1.0f, 1.0f);
+    b.fill_uniform(rng, -1.0f, 1.0f);
+    rb.fill_uniform(rng, -1.0f, 1.0f);
+    Tensor fused({cs.m, cs.n}), plain({cs.m, cs.n});
+    sgemm_row_bias(cs.m, cs.n, cs.k, 1.0f, a.data(), b.data(), 0.0f,
+                   fused.data(), rb.data());
+    sgemm(cs.m, cs.n, cs.k, 1.0f, a.data(), b.data(), 0.0f, plain.data());
+    for (std::int64_t i = 0; i < cs.m; ++i)
+      for (std::int64_t j = 0; j < cs.n; ++j)
+        plain.at2(i, j) += rb[i];
+    EXPECT_EQ(std::memcmp(fused.data(), plain.data(),
+                          static_cast<std::size_t>(fused.size()) *
+                              sizeof(float)),
+              0)
+        << "m=" << cs.m << " n=" << cs.n << " k=" << cs.k;
+  }
+}
+
 // alpha == 0 or k == 0 takes the parallel epilogue-only path; it must scale
 // and apply biases exactly like the naive reference.
 TEST(GemmProperty, EpilogueOnlyPath) {
@@ -248,6 +277,121 @@ TEST(ConvBatchStability, BatchedForwardEqualsPerSampleBitwise) {
       ASSERT_EQ(bslice[i], out_one[i]) << "sample " << s << " idx " << i;
   }
   (void)out_shape;
+}
+
+// ---------------------------------------------------------------------------
+// Panel packers: pure data movement, so every float of a panel — zero
+// padding included — must match a scalar reference bitwise, and nothing
+// may be written past the panel.
+
+constexpr float kGuard = -7.25f;
+
+std::vector<float> ref_pack_a(std::int64_t rows, std::int64_t kc,
+                              const float* a, std::int64_t rs,
+                              std::int64_t cs) {
+  std::vector<float> out(static_cast<std::size_t>(kc * kMR));
+  for (std::int64_t p = 0; p < kc; ++p)
+    for (std::int64_t i = 0; i < kMR; ++i)
+      out[static_cast<std::size_t>(p * kMR + i)] =
+          i < rows ? a[i * rs + p * cs] : 0.0f;
+  return out;
+}
+
+std::vector<float> ref_pack_b(std::int64_t kc, std::int64_t cols,
+                              const float* b, std::int64_t rs,
+                              std::int64_t cs) {
+  std::vector<float> out(static_cast<std::size_t>(kc * kNR));
+  for (std::int64_t p = 0; p < kc; ++p)
+    for (std::int64_t j = 0; j < kNR; ++j)
+      out[static_cast<std::size_t>(p * kNR + j)] =
+          j < cols ? b[p * rs + j * cs] : 0.0f;
+  return out;
+}
+
+// Source values with NaN, ±0 and ±inf sprinkled in, so a packer that
+// rounds, flushes or reorders anything shows up in the bits.
+std::vector<float> pack_source(std::int64_t n, Rng& rng) {
+  std::vector<float> src(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (i % 37 == 5)
+      src[i] = std::numeric_limits<float>::quiet_NaN();
+    else if (i % 37 == 11)
+      src[i] = -0.0f;
+    else if (i % 37 == 19)
+      src[i] = std::numeric_limits<float>::infinity();
+    else
+      src[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return src;
+}
+
+bool panel_matches(const std::vector<float>& ref,
+                   const std::vector<float>& dst) {
+  const std::size_t n = ref.size();
+  if (std::memcmp(ref.data(), dst.data(), n * sizeof(float)) != 0)
+    return false;
+  for (std::size_t i = n; i < dst.size(); ++i)
+    if (dst[i] != kGuard) return false;
+  return true;
+}
+
+const std::array<std::int64_t, 7> kPackDepths = {1, 7, 8, 9, 255, 256, 300};
+
+TEST(PackPanels, APanelMatchesScalarReferenceBitwise) {
+  Rng rng(20240810);
+  for (std::int64_t rows = 1; rows <= kMR; ++rows) {
+    for (const std::int64_t kc : kPackDepths) {
+      // Contiguous depth (rows `ld` apart, the sgemm/sgemm_bt A and conv
+      // dW's grad_out) and contiguous rows (the sgemm_at A), each from an
+      // aligned and an unaligned base.
+      const std::int64_t ld_rows = kc + 3, ld_depth = rows + 5;
+      for (const bool depth_contiguous : {true, false}) {
+        const std::int64_t rs = depth_contiguous ? ld_rows : 1;
+        const std::int64_t cs = depth_contiguous ? 1 : ld_depth;
+        const std::int64_t span = depth_contiguous ? rows * ld_rows
+                                                   : kc * ld_depth;
+        const std::vector<float> src = pack_source(span + 8, rng);
+        for (const std::int64_t base : {0, 1, 3}) {
+          const float* a = src.data() + base;
+          std::vector<float> dst(static_cast<std::size_t>(kc * kMR + 16),
+                                 kGuard);
+          pack_a_panel(rows, kc, a, rs, cs, dst.data());
+          EXPECT_TRUE(panel_matches(ref_pack_a(rows, kc, a, rs, cs), dst))
+              << "rows=" << rows << " kc=" << kc
+              << " depth_contiguous=" << depth_contiguous
+              << " base=" << base;
+        }
+      }
+    }
+  }
+}
+
+TEST(PackPanels, BPanelMatchesScalarReferenceBitwise) {
+  Rng rng(20240811);
+  for (std::int64_t cols = 1; cols <= kNR; ++cols) {
+    for (const std::int64_t kc : kPackDepths) {
+      // Contiguous columns (row-major B) and contiguous depth (the B^T of
+      // sgemm_bt: conv dW's lowered input, Dense forward's weights).
+      const std::int64_t ld_depth = cols + 5, ld_cols = kc + 3;
+      for (const bool cols_contiguous : {true, false}) {
+        const std::int64_t rs = cols_contiguous ? ld_depth : 1;
+        const std::int64_t cs = cols_contiguous ? 1 : ld_cols;
+        const std::int64_t span = cols_contiguous ? kc * ld_depth
+                                                  : cols * ld_cols;
+        const std::vector<float> src = pack_source(span + 8, rng);
+        for (const std::int64_t base : {0, 1, 3}) {
+          const float* b = src.data() + base;
+          std::vector<float> dst(static_cast<std::size_t>(kc * kNR + 16),
+                                 kGuard);
+          pack_b_panel(kc, cols, b, rs, cs, dst.data());
+          EXPECT_TRUE(panel_matches(ref_pack_b(kc, cols, b, rs, cs), dst))
+              << "cols=" << cols << " kc=" << kc
+              << " cols_contiguous=" << cols_contiguous
+              << " base=" << base;
+        }
+      }
+    }
+  }
 }
 
 // Same forward twice through the same workspace: buffers are reused, the

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 
 #include "tensor/gemm.hpp"
@@ -15,6 +17,23 @@ TEST(Tensor, ResizeZeroInitializes) {
   Tensor t({2, 3});
   EXPECT_EQ(t.size(), 6);
   for (std::int64_t i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 0.0f);
+}
+
+// ensure() on a new shape keeps the buffer's elements (its callers
+// overwrite them); only elements past the old size start at zero.
+TEST(Tensor, EnsureKeepsElementsAndZeroesGrowth) {
+  Tensor t({2, 2});
+  t.fill(3.0f);
+  t.ensure({3, 2});
+  ASSERT_EQ(t.shape(), (std::vector<std::int64_t>{3, 2}));
+  for (std::int64_t i = 0; i < 4; ++i) EXPECT_EQ(t[i], 3.0f);
+  for (std::int64_t i = 4; i < 6; ++i) EXPECT_EQ(t[i], 0.0f);
+  t.ensure2(1, 3);
+  ASSERT_EQ(t.shape(), (std::vector<std::int64_t>{1, 3}));
+  for (std::int64_t i = 0; i < 3; ++i) EXPECT_EQ(t[i], 3.0f);
+  t.ensure2(2, 3);
+  for (std::int64_t i = 0; i < 3; ++i) EXPECT_EQ(t[i], 3.0f);
+  for (std::int64_t i = 3; i < 6; ++i) EXPECT_EQ(t[i], 0.0f);
 }
 
 TEST(Tensor, ReshapePreservesData) {
@@ -212,6 +231,68 @@ TEST(Im2col, Col2imIsAdjoint) {
   for (std::int64_t i = 0; i < imsz; ++i)
     rhs += static_cast<double>(x[i]) * iy[i];
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+// The batched lowering of every sample equals the per-sample one bitwise,
+// in both directions: im2col_batch's column block n is im2col of sample n,
+// and col2im_batch's image n is col2im of column block n (same adds in the
+// same order, so NaN, ±0 and ±inf land alike).
+TEST(Im2col, BatchedLoweringEqualsPerSampleBitwise) {
+  const ConvGeom geoms[] = {
+      {12, 16, 8, 3, 3, 2, 2, 1, 1},  // conv2: 4-pixel output rows
+      {3, 9, 7, 3, 3, 2, 2, 1, 1},    // odd sizes, stride 2
+      {2, 11, 13, 3, 3, 2, 2, 0, 0},  // stride 2, no padding
+      {2, 7, 5, 2, 2, 2, 2, 1, 1},    // even kernel, stride 2
+      {1, 32, 16, 3, 3, 1, 1, 1, 1},  // conv1: stride 1
+      {3, 9, 7, 3, 3, 1, 1, 1, 1},    // odd sizes, stride 1
+      {2, 5, 9, 3, 3, 1, 1, 0, 0},    // stride 1, no padding
+  };
+  Rng rng(77);
+  for (const ConvGeom& g : geoms) {
+    for (const std::int64_t batch : {1, 3, 5}) {
+      const std::int64_t imsz = g.channels * g.height * g.width;
+      const std::int64_t opix = g.out_h() * g.out_w();
+      const std::int64_t psz = g.patch_size();
+      const std::int64_t ncols = batch * opix;
+      Tensor im({batch * imsz}), gcol({psz * ncols});
+      im.fill_uniform(rng, -1.0f, 1.0f);
+      gcol.fill_uniform(rng, -1.0f, 1.0f);
+      im[1] = -0.0f;
+      gcol[2] = -0.0f;
+      gcol[psz * ncols - 1] = std::numeric_limits<float>::infinity();
+      gcol[ncols + 1] = std::numeric_limits<float>::quiet_NaN();
+
+      Tensor col({psz * ncols}), grad_im({batch * imsz});
+      col.fill(std::numeric_limits<float>::quiet_NaN());
+      grad_im.fill(std::numeric_limits<float>::quiet_NaN());
+      im2col_batch(g, batch, im.data(), col.data());
+      col2im_batch(g, batch, gcol.data(), grad_im.data());
+
+      Tensor one_col({psz * opix}), one_gcol({psz * opix}), one_im({imsz});
+      for (std::int64_t n = 0; n < batch; ++n) {
+        im2col(g, im.data() + n * imsz, one_col.data());
+        for (std::int64_t r = 0; r < psz; ++r)
+          std::memcpy(one_gcol.data() + r * opix,
+                      gcol.data() + r * ncols + n * opix,
+                      static_cast<std::size_t>(opix) * sizeof(float));
+        col2im(g, one_gcol.data(), one_im.data());
+        for (std::int64_t r = 0; r < psz; ++r)
+          ASSERT_EQ(std::memcmp(col.data() + r * ncols + n * opix,
+                                one_col.data() + r * opix,
+                                static_cast<std::size_t>(opix) *
+                                    sizeof(float)),
+                    0)
+              << "im2col stride " << g.stride_h << " " << g.height << "x"
+              << g.width << " batch " << batch << " sample " << n
+              << " row " << r;
+        ASSERT_EQ(std::memcmp(grad_im.data() + n * imsz, one_im.data(),
+                              static_cast<std::size_t>(imsz) * sizeof(float)),
+                  0)
+            << "col2im stride " << g.stride_h << " " << g.height << "x"
+            << g.width << " batch " << batch << " sample " << n;
+      }
+    }
+  }
 }
 
 }  // namespace

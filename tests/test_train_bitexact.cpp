@@ -6,23 +6,33 @@
 //   * no input gradient for a tower's first layer;
 //   * the vectorizable ReLU backward;
 //   * MaxPool2D's 2×2/2 training path;
-//   * top evolvement training the head on cached CNN codes.
+//   * top evolvement training the head on cached CNN codes;
+//   * Conv2D against the staged pieces (lowering, GEMMs, NCHW copies,
+//     serial bias chains) it is built from;
+//   * every layer writing its whole output and input gradient, whatever
+//     its destination last held.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <string>
 
 #include "core/selector.hpp"
 #include "core/trainer.hpp"
 #include "core/transfer.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/dense.hpp"
+#include "nn/dropout.hpp"
+#include "nn/flatten.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/pool.hpp"
 #include "nn/serialize.hpp"
+#include "tensor/gemm.hpp"
 
 namespace dnnspmv {
 namespace {
@@ -120,6 +130,177 @@ TEST(TrainBitExact, ConvBackwardInAnotherWorkspaceRelowers) {
   conv.backward(a, out, grad_out, grad_in, bwd_ws);
   EXPECT_TRUE(same_bits(same_ws.grad_in, grad_in));
   EXPECT_TRUE(same_bits(same_ws.params, grads_of(conv.params())));
+}
+
+// Conv2D as the staged pieces compute it: the batch lowered into one
+// [psz, n·opix] matrix, one GEMM with the bias in its epilogue, a scatter
+// to NCHW; grad_out gathered into [oc, n·opix], dW by sgemm_bt, each bias
+// gradient one serial double chain, and dX by sgemm_at plus col2im_batch.
+struct ConvPass {
+  Tensor out, grad_in;
+  std::vector<float> dw, db;
+};
+
+ConvPass staged_conv(Conv2D& conv, const Tensor& in, const Tensor& grad_out,
+                     const std::vector<float>& dw0,
+                     const std::vector<float>& db0) {
+  const ConvGeom g{in.dim(1),          in.dim(2),          in.dim(3),
+                   conv.kernel_size(), conv.kernel_size(), conv.stride(),
+                   conv.stride(),      conv.padding(),     conv.padding()};
+  const std::int64_t batch = in.dim(0), oc = conv.out_channels();
+  const std::int64_t opix = g.out_h() * g.out_w(), psz = g.patch_size();
+  const std::int64_t ncols = batch * opix;
+  const Param& w = *conv.params()[0];
+  const Param& b = *conv.params()[1];
+  std::vector<float> col(static_cast<std::size_t>(psz * ncols));
+  std::vector<float> mat(static_cast<std::size_t>(oc * ncols));
+  im2col_batch(g, batch, in.data(), col.data());
+  sgemm_row_bias(oc, ncols, psz, 1.0f, w.value.data(), col.data(), 0.0f,
+                 mat.data(), b.value.data());
+  ConvPass r;
+  r.out = Tensor({batch, oc, g.out_h(), g.out_w()});
+  for (std::int64_t n = 0; n < batch; ++n)
+    for (std::int64_t c = 0; c < oc; ++c)
+      std::memcpy(r.out.data() + (n * oc + c) * opix,
+                  mat.data() + c * ncols + n * opix,
+                  static_cast<std::size_t>(opix) * sizeof(float));
+  for (std::int64_t n = 0; n < batch; ++n)
+    for (std::int64_t c = 0; c < oc; ++c)
+      std::memcpy(mat.data() + c * ncols + n * opix,
+                  grad_out.data() + (n * oc + c) * opix,
+                  static_cast<std::size_t>(opix) * sizeof(float));
+  r.dw = dw0;
+  sgemm_bt(oc, psz, ncols, 1.0f, mat.data(), col.data(), 1.0f, r.dw.data());
+  r.db = db0;
+  for (std::int64_t c = 0; c < oc; ++c) {
+    double acc = 0.0;
+    for (std::int64_t p = 0; p < ncols; ++p) acc += mat[c * ncols + p];
+    r.db[c] += static_cast<float>(acc);
+  }
+  std::vector<float> gcol(static_cast<std::size_t>(psz * ncols));
+  sgemm_at(psz, ncols, oc, 1.0f, w.value.data(), mat.data(), 0.0f,
+           gcol.data());
+  r.grad_in = Tensor(in.shape());
+  col2im_batch(g, batch, gcol.data(), r.grad_in.data());
+  return r;
+}
+
+TEST(TrainBitExact, ConvMatchesStagedPiecesBitwise) {
+  struct Geom {
+    std::int64_t cin, cout, stride, h, w;
+  };
+  // The selector towers' convs, and a geometry whose output pixels are no
+  // multiple of the GEMM's 16-column tile.
+  const Geom geoms[] = {
+      {1, 12, 1, 32, 16},  // conv1: 512 output pixels
+      {12, 24, 2, 16, 8},  // conv2: 32
+      {3, 5, 2, 9, 7},     // 5×4 = 20: staged copies
+  };
+  for (const Geom& gm : geoms) {
+    for (const std::int64_t batch : {1, 3, 32}) {
+      Rng rng(static_cast<std::uint64_t>(90 + gm.cout + batch));
+      Conv2D conv(gm.cin, gm.cout, 3, gm.stride, 1, rng);
+      conv.params()[1]->value.fill_uniform(rng, -0.5f, 0.5f);
+      const Tensor in = random_tensor({batch, gm.cin, gm.h, gm.w}, rng);
+      const Tensor grad_out =
+          random_tensor(conv.output_shape(in.shape()), rng);
+      // Nonzero starting gradients: backward accumulates into them.
+      conv.params()[0]->grad.fill_uniform(rng, -1.0f, 1.0f);
+      conv.params()[1]->grad.fill_uniform(rng, -1.0f, 1.0f);
+      const std::vector<float> dw0(
+          conv.params()[0]->grad.data(),
+          conv.params()[0]->grad.data() + conv.params()[0]->grad.size());
+      const std::vector<float> db0(
+          conv.params()[1]->grad.data(),
+          conv.params()[1]->grad.data() + conv.params()[1]->grad.size());
+      const ConvPass ref = staged_conv(conv, in, grad_out, dw0, db0);
+
+      Workspace ws;
+      Tensor out, grad_in;
+      conv.forward(in, out, /*training=*/true, ws);
+      conv.backward(in, out, grad_out, grad_in, ws);
+      const std::string where = "cin " + std::to_string(gm.cin) +
+                                " stride " + std::to_string(gm.stride) +
+                                " batch " + std::to_string(batch);
+      EXPECT_TRUE(same_bits(out, ref.out)) << where;
+      EXPECT_TRUE(same_bits(grad_in, ref.grad_in)) << where;
+      EXPECT_TRUE(same_bits(grads_of({conv.params()[0]}), ref.dw)) << where;
+      EXPECT_TRUE(same_bits(grads_of({conv.params()[1]}), ref.db)) << where;
+
+      std::copy(dw0.begin(), dw0.end(), conv.params()[0]->grad.data());
+      std::copy(db0.begin(), db0.end(), conv.params()[1]->grad.data());
+      conv.backward_params(in, out, grad_out, ws);
+      EXPECT_TRUE(same_bits(grads_of({conv.params()[0]}), ref.dw)) << where;
+      EXPECT_TRUE(same_bits(grads_of({conv.params()[1]}), ref.db)) << where;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Destinations that last held another shape.
+
+// A destination whose last shape was larger, filled with NaN.
+Tensor stale_tensor(std::int64_t size) {
+  Tensor t({size + 37});
+  t.fill(std::numeric_limits<float>::quiet_NaN());
+  return t;
+}
+
+// Forward and backward of one layer, into fresh destinations and again
+// into stale ones: every output and input gradient must come out the same
+// bits. `make` builds the layer afresh for each pass, so layers with state
+// (dropout's generator) start alike.
+template <typename Make>
+void expect_overwrites(Make make, const Tensor& in, bool training,
+                       const std::string& what) {
+  Rng rng(66);
+  std::unique_ptr<Layer> fresh_layer = make();
+  Tensor out, grad_in;
+  fresh_layer->forward(in, out, training);
+  const Tensor grad_out = random_tensor(out.shape(), rng);
+  fresh_layer->backward(in, out, grad_out, grad_in);
+
+  std::unique_ptr<Layer> stale_layer = make();
+  Tensor stale_out = stale_tensor(out.size());
+  Tensor stale_grad_in = stale_tensor(grad_in.size());
+  stale_layer->forward(in, stale_out, training);
+  stale_layer->backward(in, stale_out, grad_out, stale_grad_in);
+  EXPECT_TRUE(same_bits(out, stale_out)) << what;
+  EXPECT_TRUE(same_bits(grad_in, stale_grad_in)) << what;
+}
+
+TEST(TrainBitExact, LayersOverwriteStaleDestinations) {
+  Rng rng(65);
+  const Tensor image = random_tensor({3, 2, 9, 8}, rng);
+  const Tensor conv1_in = random_tensor({2, 1, 32, 16}, rng);
+  const Tensor flat = random_tensor({5, 24}, rng);
+  // Staged conv (20 output pixels) and NCHW-direct conv (512).
+  const auto conv_staged = [] {
+    Rng r(1);
+    return std::make_unique<Conv2D>(2, 5, 3, 2, 1, r);
+  };
+  const auto conv_direct = [] {
+    Rng r(2);
+    return std::make_unique<Conv2D>(1, 12, 3, 1, 1, r);
+  };
+  const auto dense = [] {
+    Rng r(3);
+    return std::make_unique<Dense>(24, 7, r);
+  };
+  const auto relu = [] { return std::make_unique<ReLU>(); };
+  const auto pool = [] { return std::make_unique<MaxPool2D>(2); };
+  const auto flatten = [] { return std::make_unique<Flatten>(); };
+  const auto dropout = [] { return std::make_unique<Dropout>(0.4, 9); };
+  for (const bool training : {true, false}) {
+    const std::string mode = training ? " training" : " inference";
+    expect_overwrites(conv_staged, image, training, "conv opix 20" + mode);
+    expect_overwrites(conv_direct, conv1_in, training, "conv opix 512" + mode);
+    expect_overwrites(relu, image, training, "relu" + mode);
+    expect_overwrites(pool, image, training, "maxpool" + mode);
+    expect_overwrites(flatten, image, training, "flatten" + mode);
+    expect_overwrites(dense, flat, training, "dense" + mode);
+    expect_overwrites(dropout, flat, training, "dropout" + mode);
+  }
 }
 
 // ---------------------------------------------------------------------------
