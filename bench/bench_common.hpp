@@ -82,11 +82,13 @@ void print_vs_paper(const std::string& metric, double paper, double ours);
 /// Single-thread GEMM throughput of the packed kernel vs a copy of the
 /// seed's naive blocked kernel, per {m, n, k} shape. Shared by bench_gemm
 /// (full sweep) and bench_overhead (MergeNet shapes for BENCH_infer.json).
+/// Each of `reps` reps times both kernels back to back, in alternating
+/// order.
 struct GemmShapeResult {
   std::int64_t m, n, k;
-  double seed_gflops;
-  double packed_gflops;
-  double speedup;  // packed / seed
+  double seed_gflops;    // from the seed kernel's best rep
+  double packed_gflops;  // from the packed kernel's best rep
+  double speedup;        // median over reps of seed time / packed time
 };
 
 std::vector<GemmShapeResult> bench_gemm_shapes(

@@ -56,11 +56,11 @@
 //                              1% of the no-publish baseline (best-of-5,
 //                              after a discarded warm-up pair).
 //
-// After the sweep, the best configuration is re-run in alternating pairs
-// with span tracing off and on to measure the observability overhead
-// (budget: <5%, gated on the median of the per-pair traced/untraced
-// ratios); BENCH_serve.json carries throughput, p50/p99 latency, hit rate,
-// and that overhead.
+// After the sweep, one warmed service in the best configuration runs 21
+// alternating pairs of >= 250 ms rounds with span tracing off and on to
+// measure the observability overhead (budget: <5%, gated on the median of
+// the per-pair traced/untraced ratios); BENCH_serve.json carries
+// throughput, p50/p99 latency, hit rate, and that overhead.
 //
 // Overload scenario (ISSUE 5): a tiny queue, one worker slowed by the
 // fault-injection hook, and open-loop submitters firing fresh (uncached)
@@ -156,16 +156,21 @@ struct ServiceRun {
   ServiceStats stats;
 };
 
-ServiceRun run_service(const FormatSelector& sel, const Workload& w,
-                       int threads, std::size_t max_batch) {
+ServiceOptions service_options(std::size_t max_batch) {
   ServiceOptions opts;
   opts.num_workers = 2;
   opts.max_batch = max_batch;
   opts.cache_capacity = 4096;
-  ModelRegistry registry(sel.clone());
-  SelectionService service(registry, opts);
+  return opts;
+}
 
+// `threads` closed-loop clients split w.order between them and walk their
+// slices, pass after pass, until at least `min_seconds` of wall time has
+// gone by (0: one pass). Returns requests answered per second.
+double drive(SelectionService& service, const Workload& w, int threads,
+             double min_seconds = 0.0) {
   Timer t;
+  std::atomic<std::size_t> answered{0};
   std::vector<std::thread> clients;
   const std::size_t per =
       (w.order.size() + static_cast<std::size_t>(threads) - 1) /
@@ -174,13 +179,23 @@ ServiceRun run_service(const FormatSelector& sel, const Workload& w,
     clients.emplace_back([&, c] {
       const std::size_t lo = static_cast<std::size_t>(c) * per;
       const std::size_t hi = std::min(w.order.size(), lo + per);
-      for (std::size_t i = lo; i < hi; ++i)
-        (void)service.predict_index(w.pool[w.order[i]]);
+      do {
+        for (std::size_t i = lo; i < hi; ++i)
+          (void)service.predict_index(w.pool[w.order[i]]);
+        answered += hi - lo;
+      } while (t.seconds() < min_seconds);
     });
   }
   for (auto& c : clients) c.join();
+  return static_cast<double>(answered.load()) / t.seconds();
+}
+
+ServiceRun run_service(const FormatSelector& sel, const Workload& w,
+                       int threads, std::size_t max_batch) {
+  ModelRegistry registry(sel.clone());
+  SelectionService service(registry, service_options(max_batch));
   ServiceRun run;
-  run.throughput = static_cast<double>(w.order.size()) / t.seconds();
+  run.throughput = drive(service, w, threads);
   run.stats = service.snapshot();
   return run;
 }
@@ -728,20 +743,37 @@ int run(int argc, char** argv) {
   }
   json.end_array();
 
-  // Observability overhead: the best configuration re-run with span
+  // Observability overhead: one service in the best configuration, built
+  // and warmed (every pool matrix cached) first, then driven with span
   // tracing off and on, pair after pair, each pair's order flipped from the
   // last so neither side always runs second. Each pair's traced/untraced
   // ratio sees the host in one state, and the gate reads their median.
-  // Separate rounds per side (best-of-3 off, then best-of-3 on) read the
-  // host's drift between the rounds as overhead, tens of percent either
-  // way on a shared VM.
+  // Rounds last at least 250 ms, so no round is mostly start-up, and they
+  // are all hits: the cheapest requests, on which spans cost the largest
+  // share. In every round a drainer empties the span rings each 10 ms, so
+  // traced rounds record their spans rather than drop them on full rings.
   constexpr int kTracePairs = 21;
+  constexpr double kRoundSeconds = 0.25;
+  ModelRegistry trace_registry(sel.clone());
+  SelectionService traced_service(
+      trace_registry, service_options(static_cast<std::size_t>(best_batch)));
+  (void)drive(traced_service, w, best_threads);  // warm: fill the cache
+  std::uint64_t dropped_events = 0;
   const auto run_best = [&](bool tracing) {
+    obs::clear_trace();
+    std::atomic<bool> done{false};
+    std::thread drainer([&] {
+      while (!done.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        (void)obs::drain_trace_events();
+      }
+    });
     obs::set_enabled(tracing);
-    const double rps = run_service(sel, w, best_threads,
-                                   static_cast<std::size_t>(best_batch))
-                           .throughput;
+    const double rps = drive(traced_service, w, best_threads, kRoundSeconds);
     obs::set_enabled(false);
+    done = true;
+    drainer.join();
+    dropped_events += obs::dropped_trace_events();
     return rps;
   };
   const auto median = [](std::vector<double> v) {
@@ -749,7 +781,6 @@ int run(int argc, char** argv) {
     const std::size_t h = v.size() / 2;
     return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
   };
-  obs::clear_trace();
   std::vector<double> untraced_rps, traced_rps, ratios;
   for (int i = 0; i < kTracePairs; ++i) {
     const bool on_first = i % 2 == 1;
@@ -764,11 +795,18 @@ int run(int argc, char** argv) {
   const double overhead_pct = 100.0 * (1.0 - median(ratios));
   const bool met_overhead = overhead_pct < 5.0;
   std::printf("\ntracing overhead at %d threads, batch %d: "
-              "%.0f req/s off, %.0f req/s on (medians of %d pairs); "
-              "median paired overhead %.2f%%\n",
+              "%.0f req/s off, %.0f req/s on (medians of %d pairs of "
+              "%.0f ms rounds); median paired overhead %.2f%%; "
+              "%llu span events dropped\n",
               best_threads, best_batch, untraced, traced, kTracePairs,
-              overhead_pct);
+              1e3 * kRoundSeconds, overhead_pct,
+              static_cast<unsigned long long>(dropped_events));
   if (!trace_path.empty()) {
+    // One traced pass of the workload, alone in the rings.
+    obs::clear_trace();
+    obs::set_enabled(true);
+    (void)drive(traced_service, w, best_threads);
+    obs::set_enabled(false);
     const std::int64_t n_events = obs::write_chrome_trace_file(trace_path);
     std::printf("wrote %lld trace events to %s (%llu dropped)\n",
                 static_cast<long long>(n_events),
@@ -782,6 +820,8 @@ int run(int argc, char** argv) {
   json.field("threads", best_threads);
   json.field("batch", best_batch);
   json.field("pairs", kTracePairs);
+  json.field("round_ms", 1e3 * kRoundSeconds);
+  json.field("dropped_span_events", dropped_events);
   json.field("untraced_req_s", untraced);
   json.field("traced_req_s", traced);
   json.field("overhead_pct", overhead_pct);
@@ -845,7 +885,8 @@ int run(int argc, char** argv) {
       json.field("speedup_vs_1", speedup);
       json.field("availability", sr.stats.availability());
       json.field("fp_reused",
-                 static_cast<std::int64_t>(sr.stats.total_fp_reused()));
+                 static_cast<std::int64_t>(
+                     sr.stats.total(&ServiceStats::fp_reused)));
       json.end_object();
     }
     json.end_array();

@@ -7,11 +7,6 @@
 namespace dnnspmv {
 namespace {
 
-std::string next_registry_prefix() {
-  static std::atomic<int> instance{0};
-  return "registry" + std::to_string(instance.fetch_add(1)) + ".";
-}
-
 /// The interface a serving layer caches across swaps: candidate list and
 /// representation geometry. Weights may change per version; these may not.
 void check_compatible(const FormatSelector& boot, const FormatSelector& next) {
@@ -57,7 +52,7 @@ void check_compatible(const FormatSelector& boot, const FormatSelector& next) {
 ModelRegistry::ModelRegistry(FormatSelector initial)
     : candidates_(initial.candidates()),
       options_(initial.options()),
-      prefix_(next_registry_prefix()),
+      prefix_(obs::next_prefix("registry")),
       version_gauge_(
           obs::MetricsRegistry::global().gauge(prefix_ + "model_version")),
       published_(

@@ -11,11 +11,6 @@
 namespace dnnspmv {
 namespace {
 
-std::string next_online_prefix() {
-  static std::atomic<int> instance{0};
-  return "online" + std::to_string(instance.fetch_add(1)) + ".";
-}
-
 bool usable(const FeedbackSample& s, std::size_t num_candidates) {
   if (s.inputs.empty()) return false;
   if (s.format_times.size() != num_candidates) return false;
@@ -31,15 +26,14 @@ OnlineTrainer::OnlineTrainer(ModelRegistry& registry,
     : registry_(registry),
       feedback_(feedback),
       opts_(opts),
-      prefix_(next_online_prefix()),
-      rounds_counter_(obs::MetricsRegistry::global().counter(prefix_ +
-                                                             "rounds")),
-      published_counter_(
+      prefix_(obs::next_prefix("online")),
+      rounds_(obs::MetricsRegistry::global().counter(prefix_ + "rounds")),
+      published_(
           obs::MetricsRegistry::global().counter(prefix_ + "published")),
-      consumed_counter_(obs::MetricsRegistry::global().counter(
-          prefix_ + "samples_consumed")),
-      discarded_counter_(obs::MetricsRegistry::global().counter(
-          prefix_ + "samples_discarded")),
+      consumed_(obs::MetricsRegistry::global().counter(prefix_ +
+                                                       "samples_consumed")),
+      discarded_(obs::MetricsRegistry::global().counter(prefix_ +
+                                                        "samples_discarded")),
       replay_depth_(
           obs::MetricsRegistry::global().gauge(prefix_ + "replay_depth")) {
   if (opts_.min_batch == 0) opts_.min_batch = 1;
@@ -83,8 +77,7 @@ Dataset OnlineTrainer::make_dataset() const {
 }
 
 bool OnlineTrainer::train_once() {
-  rounds_.fetch_add(1, std::memory_order_relaxed);
-  rounds_counter_.inc();
+  rounds_.inc();
 
   std::vector<FeedbackSample> fresh;
   feedback_.drain(fresh);
@@ -92,15 +85,14 @@ bool OnlineTrainer::train_once() {
   const std::size_t ncand = registry_.candidates().size();
   for (FeedbackSample& s : fresh) {
     if (!usable(s, ncand)) {
-      discarded_counter_.inc();
+      discarded_.inc();
       continue;
     }
     replay_.push_back(std::move(s));
     if (replay_.size() > opts_.replay_capacity) replay_.pop_front();
     ++accepted;
   }
-  consumed_n_.fetch_add(accepted, std::memory_order_relaxed);
-  consumed_counter_.inc(accepted);
+  consumed_.inc(accepted);
   replay_depth_.set(static_cast<double>(replay_.size()));
 
   // Fine-tune only when this round actually learned something new: no
@@ -115,8 +107,7 @@ bool OnlineTrainer::train_once() {
   FormatSelector next = registry_.current()->migrate(
       MigrationMethod::kTopEvolve, ds, opts_.train);
   registry_.publish(std::move(next));
-  published_n_.fetch_add(1, std::memory_order_relaxed);
-  published_counter_.inc();
+  published_.inc();
   return true;
 }
 

@@ -78,15 +78,11 @@ class OnlineTrainer {
   bool train_once();
 
   /// Rounds that ran (including ones that skipped training).
-  std::uint64_t rounds() const { return rounds_.load(std::memory_order_relaxed); }
+  std::uint64_t rounds() const { return rounds_.value(); }
   /// Versions this trainer published.
-  std::uint64_t published() const {
-    return published_n_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t published() const { return published_.value(); }
   /// Feedback samples accepted into the replay buffer so far.
-  std::uint64_t consumed() const {
-    return consumed_n_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t consumed() const { return consumed_.value(); }
 
   const OnlineTrainerOptions& options() const { return opts_; }
 
@@ -99,15 +95,12 @@ class OnlineTrainer {
   OnlineTrainerOptions opts_;
 
   std::deque<FeedbackSample> replay_;
-  std::atomic<std::uint64_t> rounds_{0};
-  std::atomic<std::uint64_t> published_n_{0};
-  std::atomic<std::uint64_t> consumed_n_{0};
 
   std::string prefix_;  // "online<N>." in the global obs registry
-  obs::Counter& rounds_counter_;
-  obs::Counter& published_counter_;
-  obs::Counter& consumed_counter_;
-  obs::Counter& discarded_counter_;
+  obs::Counter& rounds_;
+  obs::Counter& published_;
+  obs::Counter& consumed_;
+  obs::Counter& discarded_;
   obs::Gauge& replay_depth_;
 
   std::atomic<bool> stop_{false};

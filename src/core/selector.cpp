@@ -136,7 +136,7 @@ void FormatSelector::fit_spmm(const Dataset& train) {
       return l.seq == head_seq(spmm);
     });
     const QuantizedWeightSet head =
-        quantize_merge_net(*net_, calib_batches(train), opts_.quant, spmm);
+        quantize_merge_net(*net_, calib_batches(train), spmm);
     qws_->layers.insert(qws_->layers.end(), head.layers.begin(),
                         head.layers.end());
     qnet_ = std::make_unique<QuantizedMergeNet>(*net_, *qws_);
@@ -149,10 +149,11 @@ bool FormatSelector::supports(SpOp op) const {
 
 std::vector<std::vector<Tensor>> FormatSelector::calib_batches(
     const Dataset& calib) const {
+  // Calibration budget: the first 256 samples bound every layer's range.
+  constexpr std::int64_t kCalibSamples = 256;
   const int ninputs = num_net_inputs(make_spec());
-  const std::int64_t cap =
-      std::min<std::int64_t>(opts_.quant.max_calib_samples,
-                             static_cast<std::int64_t>(calib.samples.size()));
+  const std::int64_t cap = std::min<std::int64_t>(
+      kCalibSamples, static_cast<std::int64_t>(calib.samples.size()));
   const std::int64_t bs = std::max(1, opts_.train.batch);
   std::vector<std::vector<Tensor>> batches;
   for (std::int64_t i = 0; i < cap; i += bs) {
@@ -174,7 +175,7 @@ void FormatSelector::quantize(const Dataset& calib) {
   // op-independent, so the same batches exercise every head's ranges.
   std::lock_guard<std::mutex> lock(*infer_mu_);
   qws_ = std::make_unique<QuantizedWeightSet>(
-      quantize_merge_net(*net_, batches, opts_.quant));
+      quantize_merge_net(*net_, batches));
   qnet_ = std::make_unique<QuantizedMergeNet>(*net_, *qws_);
   opts_.quantize = true;
   weights_id_ = next_weights_id();

@@ -39,10 +39,6 @@ struct SelectorOptions {
   // publishes stay quantized. Rides save/load and clone(), and is
   // validated by ModelRegistry::publish like the rep geometry.
   bool quantize = false;
-  // Representation tensors are normalized and bounded (no outlier tail),
-  // so exact-range calibration beats percentile clipping here — it keeps
-  // the top of the activation range instead of saturating it.
-  QuantConfig quant{.observer = QuantConfig::Observer::kMinMax};
   // K (dense columns) the SpMM head's labels were measured at. Purely
   // descriptive for inference — representations are op-independent — but
   // published models must agree on it (ModelRegistry validates), since a

@@ -54,51 +54,6 @@ void MinMaxObserver::observe(const float* x, std::int64_t n) {
   seen_ = true;
 }
 
-HistogramObserver::HistogramObserver(std::int64_t bins)
-    : counts_(static_cast<std::size_t>(bins), 0) {
-  DNNSPMV_CHECK(bins >= 2 && bins % 2 == 0);
-}
-
-void HistogramObserver::observe(const float* x, std::int64_t n) {
-  const std::int64_t bins = static_cast<std::int64_t>(counts_.size());
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float a = std::fabs(x[i]);
-    if (!(a >= 0.0f)) continue;  // drop NaNs rather than poison the range
-    if (a > range_) {
-      // Double the range (merging bin pairs) until the sample fits; the
-      // first observation seeds the range directly.
-      if (range_ == 0.0f) {
-        range_ = a > 0.0f ? a : 1.0f;
-      } else {
-        while (a > range_) {
-          for (std::int64_t b = 0; b < bins / 2; ++b)
-            counts_[b] = counts_[2 * b] + counts_[2 * b + 1];
-          std::fill(counts_.begin() + bins / 2, counts_.end(), 0);
-          range_ *= 2.0f;
-        }
-      }
-    }
-    std::int64_t bin = static_cast<std::int64_t>(a / range_ *
-                                                 static_cast<float>(bins));
-    bin = std::min(bin, bins - 1);
-    counts_[static_cast<std::size_t>(bin)]++;
-    total_++;
-  }
-}
-
-float HistogramObserver::percentile(double pct) const {
-  if (total_ == 0) return 0.0f;
-  const std::int64_t bins = static_cast<std::int64_t>(counts_.size());
-  const double target = static_cast<double>(total_) * pct / 100.0;
-  double cum = 0.0;
-  for (std::int64_t b = 0; b < bins; ++b) {
-    cum += static_cast<double>(counts_[static_cast<std::size_t>(b)]);
-    if (cum >= target)
-      return static_cast<float>(b + 1) / static_cast<float>(bins) * range_;
-  }
-  return range_;
-}
-
 const QLayer* QuantizedWeightSet::find(std::int32_t seq,
                                        std::int32_t index) const {
   for (const QLayer& l : layers)
@@ -183,7 +138,7 @@ void quantize_weights_per_channel(const float* w, std::int64_t rows,
 
 QuantizedWeightSet quantize_merge_net(
     MergeNet& net, const std::vector<std::vector<Tensor>>& calib,
-    const QuantConfig& cfg, std::optional<std::size_t> only_head) {
+    std::optional<std::size_t> only_head) {
   DNNSPMV_CHECK_ERRC(!calib.empty(), errc::invalid_argument,
                      "quantize_merge_net needs a calibration set");
   DNNSPMV_CHECK_ERRC(!only_head || *only_head < net.num_heads(),
@@ -195,15 +150,9 @@ QuantizedWeightSet quantize_merge_net(
     return !only_head || *only_head == h;
   };
 
-  struct Obs {
-    MinMaxObserver mm;
-    HistogramObserver hist;
-  };
-  std::map<std::pair<std::int32_t, std::int32_t>, Obs> observers;
+  std::map<std::pair<std::int32_t, std::int32_t>, MinMaxObserver> observers;
   auto observe = [&](std::int32_t seq, std::int32_t index, const Tensor& t) {
-    Obs& o = observers[{seq, index}];
-    o.mm.observe(t.data(), t.size());
-    o.hist.observe(t.data(), t.size());
+    observers[{seq, index}].observe(t.data(), t.size());
   };
 
   // Calibration walk: replicate MergeNet::forward layer by layer (towers →
@@ -213,7 +162,6 @@ QuantizedWeightSet quantize_merge_net(
   Workspace ws;
   Tensor ping, pong, merged;
   std::vector<Tensor> touts(static_cast<std::size_t>(ntowers));
-  std::int64_t walked = 0;
   auto walk_seq = [&](Sequential& seq, std::int32_t seq_id, bool observed,
                       const Tensor& in, Tensor& out) {
     const Tensor* cur = &in;
@@ -234,7 +182,6 @@ QuantizedWeightSet quantize_merge_net(
                        "calibration batch has " << batch.size()
                                                 << " inputs, net has "
                                                 << ntowers << " towers");
-    if (walked >= cfg.max_calib_samples) break;
     for (std::int32_t t = 0; t < ntowers; ++t)
       walk_seq(net.tower(static_cast<std::size_t>(t)), t, towers, batch[t],
                touts[static_cast<std::size_t>(t)]);
@@ -256,11 +203,10 @@ QuantizedWeightSet quantize_merge_net(
     for (std::size_t h = 0; h < net.num_heads(); ++h)
       if (selected(h))
         walk_seq(net.head(h), head_seq(h), true, merged, head_out);
-    walked += nb;
   }
 
   // Convert: per observed layer, weight scales from the weights themselves
-  // and activation qparams from the chosen observer.
+  // and activation qparams from the observed range.
   QuantizedWeightSet qws;
   auto convert = [&](Sequential& seq, std::int32_t seq_id) {
     for (std::size_t li = 0; li < seq.num_layers(); ++li) {
@@ -270,21 +216,15 @@ QuantizedWeightSet quantize_merge_net(
       if (!is_conv && !is_dense) continue;
       const auto it =
           observers.find({seq_id, static_cast<std::int32_t>(li)});
-      DNNSPMV_CHECK_ERRC(it != observers.end() && it->second.mm.seen(),
+      DNNSPMV_CHECK_ERRC(it != observers.end() && it->second.seen(),
                          errc::data_error,
                          "layer never observed during calibration");
-      const Obs& o = it->second;
-      float lo = o.mm.lo(), hi = o.mm.hi();
-      if (cfg.observer == QuantConfig::Observer::kPercentile) {
-        const float bound = o.hist.percentile(cfg.percentile);
-        lo = std::max(lo, -bound);
-        hi = std::min(hi, bound);
-      }
       QLayer ql;
       ql.seq = seq_id;
       ql.index = static_cast<std::int32_t>(li);
       ql.kind = is_conv ? QLayer::kConv : QLayer::kDense;
-      range_to_qparams(lo, hi, &ql.act_scale, &ql.act_zp);
+      range_to_qparams(it->second.lo(), it->second.hi(), &ql.act_scale,
+                       &ql.act_zp);
       const std::vector<Param*> params = layer.params();
       const Tensor& w = params[0]->value;
       const Tensor& b = params[1]->value;

@@ -4,9 +4,11 @@
 // idiom:
 //
 //   1. *Observe.* A calibration pass walks the fp32 net layer by layer over
-//      a held-out corpus slice, recording the input distribution of every
-//      conv/dense layer with a MinMaxObserver (exact range) and a
-//      HistogramObserver (percentile range — robust to single outliers).
+//      a held-out corpus slice, recording the exact input range of every
+//      conv/dense layer with a MinMaxObserver. Representation tensors are
+//      normalized and bounded (no outlier tail), so the exact range keeps
+//      the top of the activation range where percentile clipping would
+//      saturate it and cost agreement (DESIGN.md §13).
 //   2. *Convert.* Weights quantize per output channel with symmetric int8
 //      scales (s_w[i] = max|W[i,:]| / 127); activations get one affine
 //      7-bit scale/zero-point per layer input from the observed range.
@@ -60,33 +62,6 @@ class MinMaxObserver {
   bool seen_ = false;
 };
 
-/// |x| histogram with a power-of-two growing range: when a sample exceeds
-/// the current range the range doubles and adjacent bin pairs merge, so
-/// early observations keep their (coarsened) mass. percentile(p) returns
-/// the |x| bound covering p% of observed mass — the calibration range that
-/// ignores the tail a lone outlier would otherwise stretch.
-class HistogramObserver {
- public:
-  explicit HistogramObserver(std::int64_t bins = 2048);
-  void observe(const float* x, std::int64_t n);
-  float percentile(double pct) const;
-  std::int64_t total() const { return total_; }
-
- private:
-  std::vector<std::int64_t> counts_;
-  float range_ = 0.0f;
-  std::int64_t total_ = 0;
-};
-
-struct QuantConfig {
-  enum class Observer : std::uint8_t { kMinMax = 0, kPercentile = 1 };
-  Observer observer = Observer::kPercentile;
-  /// Percentile of observed |x| mass kept inside the clipping range.
-  double percentile = 99.9;
-  /// Calibration budget: at most this many held-out samples are walked.
-  std::int64_t max_calib_samples = 256;
-};
-
 /// QLayer::seq of MergeNet head `h`: heads count down from -1.
 constexpr std::int32_t head_seq(std::size_t h) {
   return -1 - static_cast<std::int32_t>(h);
@@ -129,16 +104,15 @@ void quantize_weights_per_channel(const float* w, std::int64_t rows,
                                   float* scales);
 
 /// Observer + calibrate + convert in one pass: walks `calib` (one Tensor
-/// per tower per batch, NCHW) through the net, observes every conv/dense
-/// input of the towers and every head, and returns the quantized weight
-/// set. With `only_head` set, observes and converts that head's layers
-/// alone (the towers still run, unobserved, to feed it): the records to
-/// append when a head joins an already-quantized net, leaving the towers'
-/// and other heads' scales as they are. Deterministic for a fixed net and
-/// calibration set.
+/// per tower per batch, NCHW) through the net, observes the exact range of
+/// every conv/dense input of the towers and every head, and returns the
+/// quantized weight set. With `only_head` set, observes and converts that
+/// head's layers alone (the towers still run, unobserved, to feed it): the
+/// records to append when a head joins an already-quantized net, leaving
+/// the towers' and other heads' scales as they are. Deterministic for a
+/// fixed net and calibration set.
 QuantizedWeightSet quantize_merge_net(
     MergeNet& net, const std::vector<std::vector<Tensor>>& calib,
-    const QuantConfig& cfg = {},
     std::optional<std::size_t> only_head = std::nullopt);
 
 /// Compiled inference plan over a net + weight set. Holds pre-packed int8

@@ -164,4 +164,13 @@ void MetricsRegistry::reset() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
+std::string next_prefix(std::string_view kind) {
+  static std::mutex mu;
+  static std::map<std::string, int, std::less<>> next;
+  std::lock_guard<std::mutex> lock(mu);
+  auto it = next.find(kind);
+  if (it == next.end()) it = next.emplace(std::string(kind), 0).first;
+  return std::string(kind) + std::to_string(it->second++) + ".";
+}
+
 }  // namespace dnnspmv::obs

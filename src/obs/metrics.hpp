@@ -17,6 +17,19 @@
 // A process-global registry (MetricsRegistry::global()) is what the
 // library's built-in instrumentation reports through; independent
 // instances can be created for isolation (tests do).
+//
+// Metrics tables. The instruments a component owns (a service's, a
+// router's) are declared once, as an X-macro table with one row per
+// instrument:
+//
+//   X(kind, field, "registry_name", "one-line doc")
+//
+// `kind` is Counter, Gauge or Histogram; `field` names both the block's
+// handle and the member of its plain-value stats struct; the instrument
+// lives in the global registry as <prefix><registry_name>. The
+// DNNSPMV_OBS_* macros at the end of this header expand a table into the
+// stats members, the handles, their registration and the snapshot copy,
+// so a new instrument is one row plus the line that updates it.
 #pragma once
 
 #include <array>
@@ -136,4 +149,55 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
+/// A fresh "<kind><N>." name prefix for one instance of a metrics block:
+/// N counts from 0 per kind ("serve0.", "serve1.", "router0.", …), so
+/// instances alive at the same time never share an instrument.
+std::string next_prefix(std::string_view kind);
+
+/// How a table row of instrument type I registers (in the global registry)
+/// and what its stats member holds. Table gauges carry whole numbers:
+/// sizes, depths, versions, budgets.
+template <class I>
+struct Row;
+
+template <>
+struct Row<Counter> {
+  using Value = std::uint64_t;
+  static Counter& make(std::string_view name) {
+    return MetricsRegistry::global().counter(name);
+  }
+  static Value read(const Counter& c) { return c.value(); }
+};
+
+template <>
+struct Row<Gauge> {
+  using Value = std::uint64_t;
+  static Gauge& make(std::string_view name) {
+    return MetricsRegistry::global().gauge(name);
+  }
+  static Value read(const Gauge& g) { return static_cast<Value>(g.value()); }
+};
+
+template <>
+struct Row<Histogram> {
+  using Value = Histogram::Snapshot;
+  static Histogram& make(std::string_view name) {
+    return MetricsRegistry::global().histogram(name);
+  }
+  static Value read(const Histogram& h) { return h.snapshot(); }
+};
+
 }  // namespace dnnspmv::obs
+
+/// Table row → stats member: `Value field{};`.
+#define DNNSPMV_OBS_FIELD(kind, field, name, doc) \
+  ::dnnspmv::obs::Row<::dnnspmv::obs::kind>::Value field{};
+/// Table row → block handle: `kind& field;`.
+#define DNNSPMV_OBS_HANDLE(kind, field, name, doc) ::dnnspmv::obs::kind& field;
+/// Table row → registration, in the block constructor's initializer list
+/// after the block's `prefix_` member: `, field(<prefix_ + name>)`.
+#define DNNSPMV_OBS_REGISTER(kind, field, name, doc) \
+  , field(::dnnspmv::obs::Row<::dnnspmv::obs::kind>::make(prefix_ + name))
+/// Table row → snapshot copy, in a block member filling a local `stats`.
+#define DNNSPMV_OBS_READ(kind, field, name, doc) \
+  stats.field = ::dnnspmv::obs::Row<::dnnspmv::obs::kind>::read(field);

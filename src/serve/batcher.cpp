@@ -57,8 +57,8 @@ void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
   const std::int64_t popped_us = obs::now_us();
   for (const PredictRequest& r : batch)
     if (r.enqueued_at_us >= 0)
-      metrics_.record_queue_wait(
-          static_cast<double>(popped_us - r.enqueued_at_us) * 1e-6);
+      metrics_.queue_wait.observe(
+          static_cast<double>(popped_us - r.enqueued_at_us));
 
   // Deadline enforcement happens here, at dequeue: a request that expired
   // while queued is failed instead of served — spending a forward pass on
@@ -67,12 +67,13 @@ void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
   // dequeue check bounds queue-wait, not compute.) The kWorkerPop fault
   // site drops requests the same way, with errc::fault_injected.
   fault::Injector& inj = *injector_;
+  // Each failure is counted before its promise resolves, so a client that
+  // sees it and then takes a snapshot finds it counted.
   std::size_t kept = 0;
-  std::uint64_t expired = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     PredictRequest& r = batch[i];
     if (r.deadline_us >= 0 && popped_us > r.deadline_us) {
-      ++expired;
+      metrics_.deadline_expired.inc();
       fail_request(r, std::make_exception_ptr(DnnspmvError(
                           errc::deadline_exceeded,
                           "request expired in queue before a worker "
@@ -81,6 +82,7 @@ void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
       continue;
     }
     if (inj.enabled() && inj.decide(fault::Site::kWorkerPop).should_drop) {
+      metrics_.failed.inc();
       fail_request(r, std::make_exception_ptr(DnnspmvError(
                           errc::fault_injected,
                           "injected drop at serve site 'worker_pop'")));
@@ -90,7 +92,6 @@ void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
     if (kept != i) batch[kept] = std::move(batch[i]);
     ++kept;
   }
-  if (expired > 0) metrics_.record_deadline_expired(expired);
   batch.resize(kept);
   if (batch.empty()) return;
 
@@ -142,6 +143,7 @@ void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
       // A failed forward (real or injected) fails its whole group; each
       // waiting client gets the exception instead of a hang.
       const std::exception_ptr err = std::current_exception();
+      metrics_.failed.inc(n);
       for (std::size_t i = lo; i < hi; ++i) fail_request(batch[i], err);
     }
     // Served or failed, the input buffers are dead — recycle them. On the

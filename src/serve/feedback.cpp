@@ -8,11 +8,6 @@
 namespace dnnspmv {
 namespace {
 
-std::string next_feedback_prefix() {
-  static std::atomic<int> instance{0};
-  return "feedback" + std::to_string(instance.fetch_add(1)) + ".";
-}
-
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 2;
   while (p < n) p <<= 1;
@@ -26,7 +21,7 @@ FeedbackCollector::FeedbackCollector(FeedbackOptions opts)
       capacity_(round_up_pow2(std::max<std::size_t>(opts.capacity, 2))),
       mask_(capacity_ - 1),
       cells_(new Cell[capacity_]),
-      prefix_(next_feedback_prefix()),
+      prefix_(obs::next_prefix("feedback")),
       offered_(obs::MetricsRegistry::global().counter(prefix_ +
                                                       "feedback_offered")),
       sampled_(obs::MetricsRegistry::global().counter(prefix_ +

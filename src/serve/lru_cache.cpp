@@ -14,13 +14,9 @@ LruShard::LruShard(std::size_t capacity) : capacity_(capacity) {
 bool LruShard::get(std::uint64_t key, std::int32_t& out) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return false;
-  }
+  if (it == index_.end()) return false;
   order_.splice(order_.begin(), order_, it->second);
   out = it->second->second;
-  ++hits_;
   return true;
 }
 
@@ -35,27 +31,14 @@ void LruShard::put(std::uint64_t key, std::int32_t value) {
   if (order_.size() >= capacity_) {
     index_.erase(order_.back().first);
     order_.pop_back();
-    ++evictions_;
   }
   order_.emplace_front(key, value);
   index_[key] = order_.begin();
-  ++insertions_;
 }
 
 std::size_t LruShard::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return order_.size();
-}
-
-CacheStats LruShard::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  CacheStats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.insertions = insertions_;
-  s.evictions = evictions_;
-  s.entries = order_.size();
-  return s;
 }
 
 void LruShard::clear() {
@@ -92,19 +75,6 @@ std::size_t ShardedLruCache::size() const {
   std::size_t n = 0;
   for (const auto& s : shards_) n += s->size();
   return n;
-}
-
-CacheStats ShardedLruCache::stats() const {
-  CacheStats total;
-  for (const auto& s : shards_) {
-    const CacheStats c = s->stats();
-    total.hits += c.hits;
-    total.misses += c.misses;
-    total.insertions += c.insertions;
-    total.evictions += c.evictions;
-    total.entries += c.entries;
-  }
-  return total;
 }
 
 void ShardedLruCache::clear() {

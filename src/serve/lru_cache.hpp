@@ -9,8 +9,8 @@
 // The value type is the selector's candidate index (std::int32_t), not a
 // Format: an entry is only meaningful relative to the weights that filled
 // it, which its key must name, and the index is what the batcher produces.
-// Hit/miss/insert/evict counters are maintained internally and surfaced via
-// stats().
+// The cache keeps no counts of its own: SelectionService counts its hits and
+// misses in its metrics table (serve/metrics.hpp).
 #pragma once
 
 #include <cstdint>
@@ -21,20 +21,6 @@
 #include <vector>
 
 namespace dnnspmv {
-
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t entries = 0;  // current size across shards
-
-  double hit_rate() const {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) /
-                                  static_cast<double>(total);
-  }
-};
 
 /// Single-shard LRU (exposed for tests; use ShardedLruCache in services).
 class LruShard {
@@ -49,7 +35,6 @@ class LruShard {
 
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
-  CacheStats stats() const;
   void clear();
 
  private:
@@ -59,7 +44,6 @@ class LruShard {
   std::size_t capacity_;
   std::list<Entry> order_;  // front = most recently used
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
-  std::uint64_t hits_ = 0, misses_ = 0, insertions_ = 0, evictions_ = 0;
 };
 
 class ShardedLruCache {
@@ -73,8 +57,6 @@ class ShardedLruCache {
 
   std::size_t size() const;
   std::size_t num_shards() const { return shards_.size(); }
-  /// Aggregated over shards.
-  CacheStats stats() const;
   void clear();
 
  private:

@@ -1,58 +1,68 @@
-// Service metrics as a typed view over the obs registry.
+// Service metrics: one table, a typed view over the obs registry.
 //
-// The counters live in obs::MetricsRegistry (by default the process-global
-// one) under a per-service prefix ("serve0.", "serve1.", …), so one
-// registry export shows every live service next to the nn/sparse
-// instrumentation. ServiceMetrics resolves its handles once at
-// construction, so recording is one relaxed atomic per instrument, and
-// snapshot() produces the plain ServiceStats value, which matches the
-// registry export for the same run because both read the same atomics.
-// Histograms come out as obs::Histogram::Snapshot, in µs.
+// DNNSPMV_SERVICE_METRICS lists every instrument of a service, one row each
+// (obs/metrics.hpp explains the row format). ServiceStats' members and
+// ServiceMetrics' handles, their registration under a per-service prefix
+// ("serve0.", "serve1.", …) in the global registry and snapshot()'s copies
+// all expand from it, so one registry export shows every live service next
+// to the nn/sparse instrumentation. Recording is one relaxed atomic per
+// instrument, and snapshot() matches the registry export for the same run
+// because both read the same atomics. Histograms come out as
+// obs::Histogram::Snapshot, in µs where the name says so.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "sparse/format.hpp"
 
+// clang-format off
+#define DNNSPMV_SERVICE_METRICS(X)                                                        \
+  X(Counter, requests, "requests", "predictions asked of the service")                    \
+  X(Counter, cache_hits, "cache_hits", "answered from the LRU cache")                     \
+  X(Counter, cache_misses, "cache_misses", "missed the cache")                            \
+  X(Counter, rejected, "rejected", "misses refused by a closed queue (shutdown)")         \
+  X(Counter, failed, "failed", "failed by the batcher for a reason other than deadline")  \
+  X(Counter, deadline_expired, "deadline_expired", "expired while queued, failed at pop") \
+  X(Counter, shed, "shed", "misses shed by admission control")                            \
+  X(Counter, degraded, "degraded", "answered by the FallbackSelector")                    \
+  X(Counter, retries, "retries", "backoff retries of full-queue pushes")                  \
+  X(Counter, fp_reused, "fp_reused", "caller-supplied fingerprint skipped the rehash")    \
+  X(Counter, spmv_requests, "spmv_requests", "requests for an SpMV pick")                 \
+  X(Counter, spmm_requests, "spmm_requests", "requests for an SpMM pick")                 \
+  X(Counter, batches, "batches", "forward passes executed")                               \
+  X(Counter, batched_samples, "batched_samples", "requests summed over those batches")    \
+  X(Counter, model_swaps, "model_swaps", "hot swaps adopted since start")                 \
+  X(Gauge, max_batch, "max_batch", "largest coalesced batch seen")                        \
+  X(Gauge, cache_entries, "cache_entries", "live cache entries at the last snapshot")     \
+  X(Gauge, queue_depth, "queue_depth", "queue occupancy at the last push or pop")         \
+  X(Gauge, model_version, "model_version", "registry version the workers serve")          \
+  X(Histogram, latency, "latency_us", "submit to answer of each blocking predict()")      \
+  X(Histogram, queue_wait, "queue_wait_us", "enqueue to worker pop of each miss")         \
+  X(Histogram, batch_size, "batch_size", "requests per forward pass")                     \
+  X(Histogram, rep_build, "rep_build_us", "client-thread input build per admitted miss")
+// clang-format on
+
 namespace dnnspmv {
 
 /// Plain-value snapshot of a ServiceMetrics block.
 struct ServiceStats {
-  std::uint64_t requests = 0;        // predictions asked of the service
-  std::uint64_t cache_hits = 0;      // answered from the LRU cache
-  std::uint64_t cache_misses = 0;    // went through the batcher
-  std::uint64_t rejected = 0;        // failed (queue closed / shutdown)
-  std::uint64_t deadline_expired = 0;  // expired while queued, failed at pop
-  std::uint64_t shed = 0;            // misses shed by admission control
-  std::uint64_t degraded = 0;        // answered by the FallbackSelector
-  std::uint64_t retries = 0;         // backoff retries of full-queue pushes
-  std::uint64_t fp_reused = 0;       // requests whose caller-supplied
-                                     // fingerprint skipped the O(nnz) rehash
-  std::uint64_t spmv_requests = 0;   // per-op split of `requests`, so a
-  std::uint64_t spmm_requests = 0;   // hit-rate regression on one op is
-                                     // visible instead of blended
-  std::uint64_t batches = 0;         // forward passes executed
-  std::uint64_t batched_samples = 0; // requests summed over those batches
-  std::uint64_t max_batch = 0;       // largest coalesced batch seen
-  std::uint64_t cache_entries = 0;   // live cache entries at snapshot time
-  std::uint64_t model_version = 0;   // registry version the workers serve
-  std::uint64_t model_swaps = 0;     // hot swaps adopted since start
-  // End-to-end time of each blocking predict(), from submit to answer.
-  obs::Histogram::Snapshot latency;
-  // Miss-path representation-build time (the serve.prepare_inputs work).
-  // Counts one observation per admitted miss that built inputs in the
-  // client thread.
-  obs::Histogram::Snapshot rep_build;
+  DNNSPMV_SERVICE_METRICS(DNNSPMV_OBS_FIELD)
 
   /// Fraction of requests that received a prediction (from the cache, the
-  /// CNN, or the degraded path) rather than a deadline failure. Rejected
-  /// requests never make it into `requests`, so they are not counted here.
+  /// CNN, or the degraded path). Every request that got none was counted
+  /// in `requests` first, then as exactly one of: `rejected` (refused by a
+  /// closed queue), `deadline_expired` (expired while queued) or `failed`
+  /// (an injected drop, a forward that threw).
   double availability() const {
+    const std::uint64_t lost = rejected + deadline_expired + failed;
+    // A snapshot taken under load reads `requests` first, so the later
+    // counters may include requests it has not seen yet.
     return requests == 0 ? 1.0
-                         : static_cast<double>(requests - deadline_expired) /
+                         : static_cast<double>(requests -
+                                               std::min(lost, requests)) /
                                static_cast<double>(requests);
   }
 
@@ -72,95 +82,62 @@ struct ServiceStats {
 
 class ServiceMetrics {
  public:
-  /// Registers this block's instruments in `reg` (null → the process
-  /// global registry) under a fresh "serve<N>." prefix, so concurrent
-  /// services never share counters.
-  explicit ServiceMetrics(obs::MetricsRegistry* reg = nullptr);
+  /// Registers the table's instruments in the global registry under a
+  /// fresh "serve<N>." prefix, so concurrent services never share them.
+  ServiceMetrics();
 
+  // Updates that touch more than one row or convert their argument; every
+  // other update goes straight to its handle (rejected.inc(),
+  // latency.observe_seconds(s)).
   void record_hit() {
-    requests_.inc();
-    cache_hits_.inc();
+    requests.inc();
+    cache_hits.inc();
   }
   void record_miss() {
-    requests_.inc();
-    cache_misses_.inc();
-  }
-  void record_rejected() { rejected_.inc(); }
-  void record_deadline_expired(std::uint64_t n = 1) {
-    deadline_expired_.inc(n);
+    requests.inc();
+    cache_misses.inc();
   }
   /// A miss answered by the fallback; `by_watermark` marks admission-
   /// control sheds (vs. degraded answers after a full-queue retry budget).
   void record_degraded(bool by_watermark) {
-    degraded_.inc();
-    if (by_watermark) shed_.inc();
+    degraded.inc();
+    if (by_watermark) shed.inc();
   }
-  void record_retry() { retries_.inc(); }
-  /// A submit whose stats+fingerprint arrived precomputed (router path).
-  void record_fp_reused() { fp_reused_.inc(); }
   /// Which op a request asked for (recorded once per submit, hit or miss).
   void record_op(SpOp op) {
-    (op == SpOp::kSpmv ? spmv_requests_ : spmm_requests_).inc();
+    (op == SpOp::kSpmv ? spmv_requests : spmm_requests).inc();
   }
   void record_queue_depth(std::size_t depth) {
-    queue_depth_.set(static_cast<double>(depth));
-  }
-  /// A worker adopted a newly-published model version (RCU hot swap).
-  void record_model_swap(std::uint64_t new_version) {
-    swap_total_.inc();
-    model_version_.update_max(static_cast<double>(new_version));
+    queue_depth.set(static_cast<double>(depth));
   }
   /// The version the service booted on (swaps then only move it forward).
   void record_model_version(std::uint64_t version) {
-    model_version_.update_max(static_cast<double>(version));
+    model_version.update_max(static_cast<double>(version));
   }
+  /// A worker adopted a newly-published model version (RCU hot swap).
+  void record_model_swap(std::uint64_t new_version) {
+    model_swaps.inc();
+    record_model_version(new_version);
+  }
+  void record_batch(std::size_t size);
 
-  void record_batch(std::size_t batch_size);
-  void record_latency(double seconds) { latency_.observe_seconds(seconds); }
-  /// Time the client thread spent building CNN representations for one
-  /// admitted miss (the streaming builder's build_into call).
-  void record_rep_build(double seconds) {
-    rep_build_.observe_seconds(seconds);
-  }
-  /// Time a request spent queued before a worker popped it.
-  void record_queue_wait(double seconds) {
-    queue_wait_.observe_seconds(seconds);
-  }
-
-  /// `cache_entries` is supplied by the owner (the cache knows its size);
-  /// it is also published to the registry's `<prefix>cache_entries` gauge.
-  ServiceStats snapshot(std::uint64_t cache_entries = 0) const;
+  /// `entries` is supplied by the owner (the cache knows its size); it is
+  /// also published to the registry's `<prefix>cache_entries` gauge.
+  ServiceStats snapshot(std::uint64_t entries = 0) const;
 
   /// The registry this block reports into and its metric-name prefix —
   /// `registry().snapshot(prefix())` is the untyped view of this block.
-  obs::MetricsRegistry& registry() const { return *reg_; }
+  obs::MetricsRegistry& registry() const {
+    return obs::MetricsRegistry::global();
+  }
   const std::string& prefix() const { return prefix_; }
 
  private:
-  obs::MetricsRegistry* reg_;
-  std::string prefix_;
-  obs::Counter& requests_;
-  obs::Counter& cache_hits_;
-  obs::Counter& cache_misses_;
-  obs::Counter& rejected_;
-  obs::Counter& deadline_expired_;
-  obs::Counter& shed_;
-  obs::Counter& degraded_;
-  obs::Counter& retries_;
-  obs::Counter& fp_reused_;
-  obs::Counter& spmv_requests_;
-  obs::Counter& spmm_requests_;
-  obs::Counter& batches_;
-  obs::Counter& batched_samples_;
-  obs::Counter& swap_total_;
-  obs::Gauge& model_version_;
-  obs::Gauge& max_batch_;
-  obs::Gauge& cache_entries_;
-  obs::Gauge& queue_depth_;
-  obs::Histogram& latency_;
-  obs::Histogram& queue_wait_;
-  obs::Histogram& batch_size_;
-  obs::Histogram& rep_build_;
+  std::string prefix_;  // precedes the handles: registering them reads it
+
+ public:
+  // One handle per table row, named like its ServiceStats member.
+  DNNSPMV_SERVICE_METRICS(DNNSPMV_OBS_HANDLE)
 };
 
 }  // namespace dnnspmv

@@ -24,11 +24,6 @@ constexpr double kHedgeQuantile = 0.95;
 constexpr std::int64_t kHedgeMinUs = 500;
 constexpr std::int64_t kHedgeMaxUs = 100'000;
 
-std::string next_router_prefix() {
-  static std::atomic<int> instance{0};
-  return "router" + std::to_string(instance.fetch_add(1)) + ".";
-}
-
 std::future<std::int32_t> shutdown_future() {
   std::promise<std::int32_t> failed;
   failed.set_exception(std::make_exception_ptr(DnnspmvError(
@@ -82,30 +77,15 @@ int HashRing::sibling(std::uint64_t fp) const {
 
 // ------------------------------------------------------------- RouterStats
 
-std::uint64_t RouterStats::total_hits() const {
+std::uint64_t RouterStats::total(std::uint64_t ServiceStats::*field) const {
   std::uint64_t n = 0;
-  for (const ServiceStats& s : replica) n += s.cache_hits;
-  return n;
-}
-
-std::uint64_t RouterStats::total_degraded() const {
-  std::uint64_t n = 0;
-  for (const ServiceStats& s : replica) n += s.degraded;
-  return n;
-}
-
-std::uint64_t RouterStats::total_fp_reused() const {
-  std::uint64_t n = 0;
-  for (const ServiceStats& s : replica) n += s.fp_reused;
+  for (const ServiceStats& s : replica) n += s.*field;
   return n;
 }
 
 double RouterStats::hit_rate() const {
-  std::uint64_t hits = 0, seen = 0;
-  for (const ServiceStats& s : replica) {
-    hits += s.cache_hits;
-    seen += s.cache_hits + s.cache_misses;
-  }
+  const std::uint64_t hits = total(&ServiceStats::cache_hits);
+  const std::uint64_t seen = hits + total(&ServiceStats::cache_misses);
   return seen == 0 ? 0.0
                    : static_cast<double>(hits) / static_cast<double>(seen);
 }
@@ -133,22 +113,14 @@ struct ReplicaRouter::HedgeState {
   int sibling = 0;
 };
 
+ReplicaRouter::Metrics::Metrics()
+    : prefix_(obs::next_prefix("router"))
+          DNNSPMV_ROUTER_METRICS(DNNSPMV_OBS_REGISTER) {}
+
 ReplicaRouter::ReplicaRouter(ModelRegistry& registry, RouterOptions opts)
     : registry_(registry),
       opts_(std::move(opts)),
       ring_(opts_.replicas),
-      prefix_(next_router_prefix()),
-      requests_(obs::MetricsRegistry::global().counter(prefix_ + "requests")),
-      hedges_(obs::MetricsRegistry::global().counter(prefix_ + "hedge")),
-      hedge_won_(obs::MetricsRegistry::global().counter(prefix_ + "hedge_won")),
-      misrouted_(obs::MetricsRegistry::global().counter(prefix_ + "misrouted")),
-      errors_(obs::MetricsRegistry::global().counter(prefix_ + "errors")),
-      budget_gauge_(
-          obs::MetricsRegistry::global().gauge(prefix_ + "hedge_budget_us")),
-      cnn_wait_us_(
-          obs::MetricsRegistry::global().histogram(prefix_ + "cnn_wait_us")),
-      latency_us_(
-          obs::MetricsRegistry::global().histogram(prefix_ + "latency_us")),
       budget_us_(opts_.hedge_fixed_us > 0 ? opts_.hedge_fixed_us
                                           : kHedgeMinUs) {
   if (opts_.pin_workers)
@@ -157,7 +129,6 @@ ReplicaRouter::ReplicaRouter(ModelRegistry& registry, RouterOptions opts)
 
   const auto n = static_cast<std::size_t>(opts_.replicas);
   services_.reserve(n);
-  depth_gauges_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ServiceOptions so = opts_.service;
     so.cache_capacity =
@@ -169,10 +140,8 @@ ReplicaRouter::ReplicaRouter(ModelRegistry& registry, RouterOptions opts)
     // path, N independent inference lanes (each subscription adopts by
     // clone — see core/model_registry.hpp).
     services_.push_back(std::make_unique<SelectionService>(registry_, so));
-    depth_gauges_.push_back(&obs::MetricsRegistry::global().gauge(
-        prefix_ + "replica" + std::to_string(i) + "_depth"));
   }
-  budget_gauge_.set(
+  metrics_.hedge_budget_us.set(
       static_cast<double>(budget_us_.load(std::memory_order_relaxed)));
   hedger_ = std::thread([this] { run_hedger(); });
 }
@@ -195,8 +164,8 @@ void ReplicaRouter::shutdown() {
 void ReplicaRouter::finalize_locked(HedgeState& s) {
   if (s.resolved || s.may_hedge || s.pending != 0 || !s.first_err) return;
   s.resolved = true;
+  metrics_.errors.inc();
   s.result.set_exception(s.first_err);
-  errors_.inc();
 }
 
 void ReplicaRouter::complete(const std::shared_ptr<HedgeState>& s,
@@ -215,20 +184,20 @@ void ReplicaRouter::complete(const std::shared_ptr<HedgeState>& s,
     }
     if (s->resolved) return;  // the race's loser; first answer already out
     s->resolved = true;
-    s->result.set_value(idx);
     if (from_hedge) {
-      hedge_won_.inc();
+      metrics_.hedge_won.inc();
       // The sibling answered from its own cache: the key was warm on a
       // replica the ring no longer routes it to.
-      if (src == AnswerSource::kCache) misrouted_.inc();
+      if (src == AnswerSource::kCache) metrics_.misrouted.inc();
     }
+    s->result.set_value(idx);
     if (src == AnswerSource::kCnn) wait_us = obs::now_us() - s->start_us;
   }
   if (wait_us >= 0) {
     // Only CNN-path waits feed the hedge budget: inline answers (cache,
     // degraded) resolve in microseconds and would drag the quantile to
     // the floor.
-    cnn_wait_us_.observe(static_cast<double>(wait_us));
+    metrics_.cnn_wait.observe(static_cast<double>(wait_us));
     if (waits_since_refresh_.fetch_add(1, std::memory_order_relaxed) + 1 >=
         32) {
       waits_since_refresh_.store(0, std::memory_order_relaxed);
@@ -239,12 +208,12 @@ void ReplicaRouter::complete(const std::shared_ptr<HedgeState>& s,
 
 void ReplicaRouter::refresh_budget() {
   if (opts_.hedge_fixed_us > 0) return;
-  const obs::Histogram::Snapshot snap = cnn_wait_us_.snapshot();
+  const obs::Histogram::Snapshot snap = metrics_.cnn_wait.snapshot();
   if (snap.count == 0) return;
   const auto q = static_cast<std::int64_t>(snap.quantile(kHedgeQuantile));
   const std::int64_t b = std::clamp(q, kHedgeMinUs, kHedgeMaxUs);
   budget_us_.store(b, std::memory_order_relaxed);
-  budget_gauge_.set(static_cast<double>(b));
+  metrics_.hedge_budget_us.set(static_cast<double>(b));
 }
 
 void ReplicaRouter::fire_hedge(const std::shared_ptr<HedgeState>& s) {
@@ -266,7 +235,7 @@ void ReplicaRouter::fire_hedge(const std::shared_ptr<HedgeState>& s) {
     inputs = std::move(s->inputs);
     ++s->pending;
   }
-  hedges_.inc();
+  metrics_.hedges.inc();
   Request hedge;
   hedge.op = s->op;
   hedge.stats = s->st;
@@ -313,7 +282,7 @@ std::future<std::int32_t> ReplicaRouter::submit(
     const Csr& a, SpOp op,
     std::optional<std::chrono::microseconds> deadline) {
   if (stopped_.load(std::memory_order_acquire)) return shutdown_future();
-  requests_.inc();
+  metrics_.requests.inc();
 
   MatrixStats st;
   std::uint64_t fp = 0;
@@ -395,7 +364,7 @@ std::int32_t ReplicaRouter::predict_index(
   Timer timer;
   std::future<std::int32_t> fut = submit(a, op, deadline);
   const std::int32_t idx = fut.get();
-  latency_us_.observe_seconds(timer.seconds());
+  metrics_.latency.observe_seconds(timer.seconds());
   return idx;
 }
 
@@ -405,20 +374,17 @@ Format ReplicaRouter::predict(
       predict_index(a, op, deadline))];
 }
 
+RouterStats ReplicaRouter::Metrics::read() const {
+  RouterStats stats;
+  DNNSPMV_ROUTER_METRICS(DNNSPMV_OBS_READ)
+  return stats;
+}
+
 RouterStats ReplicaRouter::snapshot() const {
-  RouterStats out;
-  out.requests = requests_.value();
-  out.hedges = hedges_.value();
-  out.hedge_won = hedge_won_.value();
-  out.misrouted = misrouted_.value();
-  out.errors = errors_.value();
-  out.hedge_budget_us = budget_us_.load(std::memory_order_relaxed);
-  out.replica.reserve(services_.size());
-  for (std::size_t i = 0; i < services_.size(); ++i) {
-    out.replica.push_back(services_[i]->snapshot());
-    depth_gauges_[i]->set(static_cast<double>(services_[i]->queue_depth()));
-  }
-  return out;
+  RouterStats stats = metrics_.read();
+  stats.replica.reserve(services_.size());
+  for (const auto& svc : services_) stats.replica.push_back(svc->snapshot());
+  return stats;
 }
 
 }  // namespace dnnspmv

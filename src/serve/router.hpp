@@ -39,11 +39,11 @@
 //   service_shutdown — submitted after shutdown()
 //   (other)          — every dispatch failed; the first error is forwarded
 //
-// Observability: the router registers under a fresh "router<N>." prefix in
-// the obs registry — requests/hedge/hedge_won/misrouted/errors counters,
-// per-replica replica<i>_depth gauges, the hedge_budget_us gauge, and the
-// cnn_wait_us/latency_us histograms — next to each replica's own
-// "serve<M>." block. snapshot() is the typed view of all of it.
+// Observability: DNNSPMV_ROUTER_METRICS below is the router's one metrics
+// table; its instruments register under a fresh "router<N>." prefix in the
+// global obs registry, next to each replica's own "serve<M>." block (whose
+// queue_depth gauge tracks that replica's queue). snapshot() is the typed
+// view of all of it.
 #pragma once
 
 #include <atomic>
@@ -58,6 +58,19 @@
 
 #include "serve/affinity.hpp"
 #include "serve/service.hpp"
+
+// One row per router instrument (row format: obs/metrics.hpp).
+// clang-format off
+#define DNNSPMV_ROUTER_METRICS(X)                                                     \
+  X(Counter, requests, "requests", "requests routed")                                 \
+  X(Counter, hedges, "hedges", "hedged re-dispatches issued")                         \
+  X(Counter, hedge_won, "hedge_won", "races the sibling's answer won")                \
+  X(Counter, misrouted, "misrouted", "hedge wins answered from the sibling's cache")  \
+  X(Counter, errors, "errors", "requests that failed on every dispatch")              \
+  X(Gauge, hedge_budget_us, "hedge_budget_us", "hedge budget in force")               \
+  X(Histogram, cnn_wait, "cnn_wait_us", "submit to CNN answer; sets the hedge budget") \
+  X(Histogram, latency, "latency_us", "submit to answer of each blocking predict()")
+// clang-format on
 
 namespace dnnspmv {
 
@@ -108,21 +121,15 @@ struct RouterOptions {
 };
 
 /// Plain-value snapshot of the router tier plus every replica underneath.
+/// A misrouted hedge win means the key was warm on a replica the ring no
+/// longer routes it to (a ring move or a duplicate).
 struct RouterStats {
-  std::uint64_t requests = 0;
-  std::uint64_t hedges = 0;      // hedged re-dispatches issued
-  std::uint64_t hedge_won = 0;   // races the sibling's answer won
-  std::uint64_t misrouted = 0;   // hedge wins served from the sibling's
-                                 // cache (the key was warm on the wrong
-                                 // replica — ring-move or duplicate)
-  std::uint64_t errors = 0;      // requests that failed on every dispatch
-  std::int64_t hedge_budget_us = 0;  // budget in force at snapshot time
+  DNNSPMV_ROUTER_METRICS(DNNSPMV_OBS_FIELD)
   std::vector<ServiceStats> replica;
 
-  /// Sums over replicas (hedged requests can count on two replicas).
-  std::uint64_t total_hits() const;
-  std::uint64_t total_degraded() const;
-  std::uint64_t total_fp_reused() const;
+  /// `field` summed over replicas, e.g. total(&ServiceStats::cache_hits)
+  /// (hedged requests can count on two replicas).
+  std::uint64_t total(std::uint64_t ServiceStats::*field) const;
   double hit_rate() const;
   /// Requests that produced an answer (any source) over all submitted.
   double availability() const {
@@ -180,6 +187,8 @@ class ReplicaRouter {
     return budget_us_.load(std::memory_order_relaxed);
   }
   const RouterOptions& options() const { return opts_; }
+  /// This router's prefix ("router<N>.") in the global obs registry.
+  const std::string& metrics_prefix() const { return metrics_.prefix_; }
   const std::vector<Format>& candidates() const {
     return services_.front()->candidates();
   }
@@ -208,19 +217,18 @@ class ReplicaRouter {
   std::vector<affinity::CpuGroup> placement_;
   std::vector<std::unique_ptr<SelectionService>> services_;
 
-  // Metrics (router<N>. prefix in the global obs registry).
-  std::string prefix_;
-  obs::Counter& requests_;
-  obs::Counter& hedges_;
-  obs::Counter& hedge_won_;
-  obs::Counter& misrouted_;
-  obs::Counter& errors_;
-  obs::Gauge& budget_gauge_;
-  obs::Histogram& cnn_wait_us_;
-  obs::Histogram& latency_us_;
-  std::vector<obs::Gauge*> depth_gauges_;
+  // The router<N>. block: one handle per table row.
+  struct Metrics {
+    Metrics();
+    RouterStats read() const;  // every row; the replicas are left empty
+    std::string prefix_;  // precedes the handles: registering them reads it
+    DNNSPMV_ROUTER_METRICS(DNNSPMV_OBS_HANDLE)
+  };
+  Metrics metrics_;
 
-  // Adaptive hedge budget (µs), refreshed from cnn_wait_us_.
+  // Adaptive hedge budget (µs), refreshed from the cnn_wait histogram and
+  // exported through the hedge_budget_us gauge. Routing reads this atomic,
+  // not the gauge, so a registry reset() never moves the budget.
   std::atomic<std::int64_t> budget_us_;
   std::atomic<std::uint64_t> waits_since_refresh_{0};
 

@@ -159,7 +159,7 @@ std::future<std::int32_t> SelectionService::enqueue(
       return fut;
     }
     if (pr == PushResult::kClosed) {
-      metrics_.record_rejected();
+      metrics_.rejected.inc();
       const auto err = std::make_exception_ptr(DnnspmvError(
           errc::service_shutdown,
           "SelectionService is shut down; request rejected"));
@@ -170,7 +170,7 @@ std::future<std::int32_t> SelectionService::enqueue(
     }
     // Transiently full: bounded retry with doubling backoff, then shed.
     if (attempt >= opts_.push_retries) break;
-    metrics_.record_retry();
+    metrics_.retries.inc();
     if (backoff_us > 0)
       std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
     backoff_us *= 2;
@@ -202,7 +202,7 @@ std::future<std::int32_t> SelectionService::submit(Request&& r) {
   std::uint64_t fp;
   if (r.fingerprint) {
     fp = *r.fingerprint;
-    metrics_.record_fp_reused();
+    metrics_.fp_reused.inc();
   } else {
     fp = structural_fingerprint(st);
   }
@@ -227,7 +227,7 @@ std::future<std::int32_t> SelectionService::submit(Request&& r) {
     Timer timer;
     req.inputs = rep_pool_.acquire();
     rep_builder_.build_into(*r.matrix, thread_arena(), req.inputs);
-    metrics_.record_rep_build(timer.seconds());
+    metrics_.rep_build.observe_seconds(timer.seconds());
   }
   if (r.retain_inputs) *r.retain_inputs = req.inputs;  // hedge copy
   // Miss-path feedback: sampled, and only when the matrix is available to
@@ -250,7 +250,7 @@ std::int32_t SelectionService::predict_index(
   r.deadline = deadline;
   std::future<std::int32_t> fut = submit(std::move(r));
   const std::int32_t idx = fut.get();
-  metrics_.record_latency(timer.seconds());
+  metrics_.latency.observe_seconds(timer.seconds());
   return idx;
 }
 

@@ -231,8 +231,8 @@ class SelectionService {
   /// registry().version() until the next batch boundary).
   std::uint64_t model_version() const { return subscription_.version(); }
 
-  /// Approximate queue occupancy (the admission-control mirror) — what a
-  /// router polls for its per-replica depth gauges.
+  /// Approximate queue occupancy now (the admission-control mirror); the
+  /// metrics' queue_depth gauge holds it as of the last push or pop.
   std::size_t queue_depth() const { return queue_.approx_size(); }
 
   /// The recycled CNN-input buffer pool behind the miss path (tests assert

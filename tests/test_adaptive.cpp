@@ -149,7 +149,7 @@ TEST(AdaptiveSpmv, CachedConstructionRejectsMalformedMatrix) {
   } catch (const DnnspmvError& e) {
     EXPECT_EQ(e.code(), errc::invalid_argument);
   }
-  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(AdaptiveSpmv, RecordsOneTimeCosts) {

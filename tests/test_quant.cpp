@@ -319,39 +319,6 @@ TEST(QuantCalib, MinMaxObserverTracksExactRange) {
   EXPECT_EQ(o.hi(), 3.5f);
 }
 
-TEST(QuantCalib, HistogramPercentileIgnoresALoneOutlier) {
-  HistogramObserver h;
-  std::vector<float> base(4096);
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    const float v = static_cast<float>(i) / 4096.0f;
-    base[i] = (i % 2 == 0) ? v : -v;  // |x| histogram: sign must not matter
-  }
-  h.observe(base.data(), static_cast<std::int64_t>(base.size()));
-  EXPECT_LE(h.percentile(100.0), 1.0f);
-
-  const float outlier = 300.0f;
-  h.observe(&outlier, 1);
-  EXPECT_EQ(h.total(), 4097);
-  // The range doubled to cover the outlier, but 99% of the mass still
-  // lives below 1 — the percentile bound stays close while the minmax
-  // range would have exploded to 300.
-  EXPECT_LT(h.percentile(99.0), 1.5f);
-  EXPECT_GE(h.percentile(100.0), 299.0f);
-}
-
-TEST(QuantCalib, HistogramRangeDoublingPreservesMass) {
-  HistogramObserver h(8);  // tiny bins make the pair-merges visible
-  const float small[] = {0.1f, 0.2f, 0.3f, 0.4f};
-  h.observe(small, 4);
-  const float big[] = {3.2f};  // forces several doublings
-  h.observe(big, 1);
-  EXPECT_EQ(h.total(), 5);
-  // All early mass survived the merges: covering 80% of 5 samples needs
-  // only the small values.
-  EXPECT_LE(h.percentile(80.0), 1.0f);
-  EXPECT_GE(h.percentile(100.0), 3.2f * 0.9f);
-}
-
 // One corpus + platform + a trained fp32 selector and its quantized clone.
 // Shared by the calibration/serialization/parity tests below; training
 // dominates the fixture cost (same shape as test_online's pipeline).

@@ -337,6 +337,7 @@ TEST(FaultInjection, WorkerThrowFailsBatchWithoutLeakingPromises) {
   // request is served. Nothing hangs, nothing reports broken_promise.
   EXPECT_GE(injected, 1);
   EXPECT_EQ(injected + ok, 4);
+  EXPECT_EQ(service.snapshot().failed, static_cast<std::uint64_t>(injected));
 }
 
 TEST(FaultInjection, DropFailsOnlyTheDroppedRequest) {
@@ -361,6 +362,43 @@ TEST(FaultInjection, DropFailsOnlyTheDroppedRequest) {
       service.submit({.matrix = &p.corpus[0].matrix});
   EXPECT_EQ(served.get(), p.selector.predict_index(p.corpus[0].matrix));
   EXPECT_EQ(fault::Injector::global().injected(fault::Site::kWorkerPop), 1u);
+  EXPECT_EQ(service.snapshot().failed, 1u);
+}
+
+TEST(Availability, RejectionAfterShutdownIsUnanswered) {
+  auto& p = pipeline();
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry);
+  service.shutdown();
+  // An uncached matrix reaches the closed queue: counted as a request
+  // (the miss comes first), then rejected, so it is not available.
+  std::future<std::int32_t> fut =
+      service.submit({.matrix = &p.corpus[7].matrix});
+  EXPECT_EQ(code_of(fut), errc::service_shutdown);
+  const ServiceStats s = service.snapshot();
+  EXPECT_EQ(s.requests, 1u);
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_LT(s.availability(), 1.0);
+}
+
+TEST(Availability, InjectedWorkerDropIsUnanswered) {
+  auto& p = pipeline();
+  fault::ScopedFaults guard;
+  fault::Plan drop;
+  drop.drop_next = 1;
+  fault::Injector::global().configure(fault::Site::kWorkerPop, drop);
+  ServiceOptions opts;
+  opts.num_workers = 1;
+  opts.max_batch = 1;
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
+
+  std::future<std::int32_t> dropped =
+      service.submit({.matrix = &p.corpus[8].matrix});
+  EXPECT_EQ(code_of(dropped), errc::fault_injected);
+  const ServiceStats s = service.snapshot();
+  EXPECT_EQ(s.requests, 1u);
+  EXPECT_LT(s.availability(), 1.0);
 }
 
 TEST(ShutdownRace, ShutdownWhileDegradedPathActive) {

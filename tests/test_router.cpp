@@ -252,6 +252,16 @@ TEST(Router, MatchesDirectPredictionsAndAggregatesStats) {
     const Csr& a = p.corpus[static_cast<std::size_t>(i)].matrix;
     EXPECT_EQ(router.predict_index(a), p.selector.predict_index(a));
   }
+  // A hedge can answer a key from its sibling while the primary still
+  // works through its queue. Wait until every replica has served each of
+  // its misses (and so cached it) before asking again.
+  const auto settled = [&] {
+    for (const ServiceStats& r : router.snapshot().replica)
+      if (r.batched_samples + r.degraded < r.cache_misses) return false;
+    return true;
+  };
+  for (int i = 0; i < 5000 && !settled(); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   // Same keys again: served from the replicas' caches, same answers.
   for (int i = 0; i < kN; ++i) {
     const Csr& a = p.corpus[static_cast<std::size_t>(i)].matrix;
@@ -262,8 +272,9 @@ TEST(Router, MatchesDirectPredictionsAndAggregatesStats) {
   EXPECT_EQ(s.requests, static_cast<std::uint64_t>(2 * kN));
   EXPECT_EQ(s.errors, 0u);
   EXPECT_DOUBLE_EQ(s.availability(), 1.0);
-  EXPECT_GE(s.total_hits(), static_cast<std::uint64_t>(kN));
-  EXPECT_EQ(s.total_fp_reused(), s.requests + s.hedges);
+  EXPECT_GE(s.total(&ServiceStats::cache_hits),
+            static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(s.total(&ServiceStats::fp_reused), s.requests + s.hedges);
   EXPECT_EQ(s.replica.size(), 3u);
   // The ring spread the keys: more than one replica saw traffic.
   int active = 0;
@@ -334,7 +345,7 @@ TEST(RouterHedge, ResolvesExactlyOnceUnderForcedRace) {
   EXPECT_EQ(s.errors, 0u);
   EXPECT_GT(s.hedges, 0u);
   EXPECT_LE(s.hedge_won, s.hedges);
-  EXPECT_EQ(s.hedge_budget_us, 1);
+  EXPECT_EQ(s.hedge_budget_us, 1u);
 }
 
 TEST(RouterHedge, AdaptiveBudgetLearnsFromCnnWaits) {
@@ -370,7 +381,7 @@ TEST(RouterHedge, AdaptiveBudgetLearnsFromCnnWaits) {
   // shutdown() joins the replicas' workers, which run the completions that
   // refresh the budget, so the last refresh is visible afterwards.
   router.shutdown();
-  EXPECT_EQ(router.snapshot().total_degraded(), 0u);
+  EXPECT_EQ(router.snapshot().total(&ServiceStats::degraded), 0u);
   EXPECT_GE(router.hedge_budget_us(), 4096);
   EXPECT_LE(router.hedge_budget_us(), 100'000);
 }

@@ -1,20 +1,26 @@
 // src/serve: LRU cache behaviour, fingerprint stability, queue shutdown
-// semantics, batched-vs-single prediction equivalence, and a multithreaded
-// hammer through the full SelectionService.
+// semantics, batched-vs-single prediction equivalence, a multithreaded
+// hammer through the full SelectionService, and row-by-row parity of the
+// service and router metrics tables with the registry export.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <optional>
 #include <set>
 #include <thread>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "core/adaptive.hpp"
 #include "obs/metrics.hpp"
 #include "perf/labels.hpp"
+#include "serve/fault.hpp"
 #include "serve/fingerprint.hpp"
+#include "serve/router.hpp"
 
 namespace dnnspmv {
 namespace {
@@ -67,7 +73,7 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
   EXPECT_TRUE(shard.get(3, v));
   EXPECT_TRUE(shard.get(4, v));
   EXPECT_EQ(shard.size(), 3u);
-  EXPECT_EQ(shard.stats().evictions, 1u);
+  EXPECT_EQ(shard.capacity(), 3u);
 }
 
 TEST(LruCache, PutRefreshesAndOverwrites) {
@@ -87,11 +93,19 @@ TEST(LruCache, ShardedAggregatesAndCapsCapacity) {
   EXPECT_EQ(cache.num_shards(), 4u);
   for (std::uint64_t k = 0; k < 200; ++k)
     cache.put(k, static_cast<std::int32_t>(k));
-  // Per-shard capacity is 16, so at most 64 entries survive.
-  EXPECT_LE(cache.size(), 64u);
-  const CacheStats s = cache.stats();
-  EXPECT_EQ(s.insertions, 200u);
-  EXPECT_GE(s.evictions, 200u - 64u);
+  // Per-shard capacity is 16: every shard fills, so 64 of the 200 keys
+  // survive, each with its own value, and the newest key is one of them.
+  EXPECT_EQ(cache.size(), 64u);
+  std::size_t present = 0;
+  for (std::uint64_t k = 0; k < 200; ++k) {
+    std::int32_t v = -1;
+    if (!cache.get(k, v)) continue;
+    ++present;
+    EXPECT_EQ(v, static_cast<std::int32_t>(k));
+  }
+  EXPECT_EQ(present, 64u);
+  std::int32_t newest = -1;
+  EXPECT_TRUE(cache.get(199, newest));
   // Shards never hold more than one entry when capacity <= shards.
   ShardedLruCache tiny(2, 8);
   EXPECT_LE(tiny.num_shards(), 2u);
@@ -238,49 +252,136 @@ TEST(SelectionService, ShutdownAnswersInFlightThenRejects) {
   service.shutdown();  // idempotent
 }
 
+// Row-by-row parity of a metrics table: the typed snapshot's member against
+// the registry export's entry of the same row.
+template <class Kind>
+void expect_row(const obs::MetricsSnapshot& reg, const std::string& name,
+                const typename obs::Row<Kind>::Value& typed) {
+  SCOPED_TRACE(name);
+  if constexpr (std::is_same_v<Kind, obs::Counter>) {
+    ASSERT_EQ(reg.counters.count(name), 1u);
+    EXPECT_EQ(reg.counters.at(name), typed);
+  } else if constexpr (std::is_same_v<Kind, obs::Gauge>) {
+    ASSERT_EQ(reg.gauges.count(name), 1u);
+    EXPECT_EQ(static_cast<std::uint64_t>(reg.gauges.at(name)), typed);
+  } else {
+    ASSERT_EQ(reg.histograms.count(name), 1u);
+    const obs::Histogram::Snapshot& h = reg.histograms.at(name);
+    EXPECT_EQ(h.count, typed.count);
+    EXPECT_EQ(h.buckets, typed.buckets);
+    EXPECT_EQ(h.sum, typed.sum);
+  }
+}
+
+std::size_t exported(const obs::MetricsSnapshot& reg) {
+  return reg.counters.size() + reg.gauges.size() + reg.histograms.size();
+}
+
+// Every row of the service table, and nothing else under the prefix.
+void expect_service_rows(const ServiceStats& s, const std::string& prefix) {
+  const obs::MetricsSnapshot reg =
+      obs::MetricsRegistry::global().snapshot(prefix);
+  std::size_t rows = 0;
+#define EXPECT_ROW(kind, field, name, doc)                \
+  expect_row<obs::kind>(reg, prefix + name, s.field); \
+  ++rows;
+  DNNSPMV_SERVICE_METRICS(EXPECT_ROW)
+#undef EXPECT_ROW
+  EXPECT_EQ(exported(reg), rows) << prefix;
+}
+
 TEST(SelectionServiceObs, SnapshotMatchesRegistryExport) {
   auto& p = pipeline();
+  fault::ScopedFaults guard;
+  // One worker pinned in a 60 ms forward while the queue fills: the first
+  // request queued behind it expires, the next fills the queue to the
+  // watermark and the one after that is shed.
+  fault::Plan slow;
+  slow.delay_next = 1;
+  slow.delay_us = 60'000;
+  fault::Injector::global().configure(fault::Site::kForward, slow);
   ServiceOptions opts;
-  opts.num_workers = 2;
-  opts.max_batch = 8;
+  opts.num_workers = 1;
+  opts.max_batch = 1;
+  opts.queue_capacity = 4;
+  opts.shed_watermark = 0.5;  // shed once 2 of 4 slots are occupied
   ModelRegistry registry(p.selector.clone());
   SelectionService service(registry, opts);
+  const auto submit = [&](std::size_t i,
+                          std::optional<std::chrono::microseconds> dl = {}) {
+    return service.submit({.matrix = &p.corpus[i].matrix, .deadline = dl});
+  };
 
-  for (int i = 0; i < 5; ++i)
-    service.predict_index(p.corpus[static_cast<std::size_t>(i % 3)].matrix);
+  std::future<std::int32_t> pinned = submit(0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  std::future<std::int32_t> expired =
+      submit(1, std::chrono::milliseconds(1));
+  std::future<std::int32_t> queued = submit(2);
+  std::future<std::int32_t> shed = submit(3);
+  EXPECT_THROW((void)expired.get(), DnnspmvError);
+  for (auto* f : {&pinned, &queued, &shed}) EXPECT_NO_THROW((void)f->get());
+  service.predict_index(p.corpus[0].matrix);  // two blocking hits
+  service.predict_index(p.corpus[2].matrix);
 
-  // The typed snapshot and the registry's untyped export read the same
-  // atomics, so for an idle service they must agree exactly.
   const ServiceStats s = service.snapshot();
-  const std::string& prefix = service.metrics().prefix();
-  const obs::MetricsSnapshot reg =
-      service.metrics().registry().snapshot(prefix);
-
-  EXPECT_EQ(reg.counters.at(prefix + "requests"), s.requests);
-  EXPECT_EQ(reg.counters.at(prefix + "cache_hits"), s.cache_hits);
-  EXPECT_EQ(reg.counters.at(prefix + "cache_misses"), s.cache_misses);
-  EXPECT_EQ(reg.counters.at(prefix + "rejected"), s.rejected);
-  EXPECT_EQ(reg.counters.at(prefix + "batches"), s.batches);
-  EXPECT_EQ(reg.counters.at(prefix + "batched_samples"), s.batched_samples);
-  EXPECT_EQ(static_cast<std::uint64_t>(reg.gauges.at(prefix + "max_batch")),
-            s.max_batch);
-  EXPECT_EQ(
-      static_cast<std::uint64_t>(reg.gauges.at(prefix + "cache_entries")),
-      s.cache_entries);
-  const obs::Histogram::Snapshot& lat =
-      reg.histograms.at(prefix + "latency_us");
-  EXPECT_EQ(lat.count, s.requests);
-  EXPECT_EQ(lat.count, s.latency.count);
-  EXPECT_EQ(lat.buckets, s.latency.buckets);
-  // Queue wait was recorded for each batched (cache-miss) request.
-  EXPECT_EQ(reg.histograms.at(prefix + "queue_wait_us").count,
-            s.cache_misses);
-  EXPECT_EQ(reg.histograms.at(prefix + "batch_size").count, s.batches);
+  EXPECT_EQ(s.requests, 6u);
+  EXPECT_EQ(s.cache_hits, 2u);
+  EXPECT_EQ(s.deadline_expired, 1u);
+  EXPECT_EQ(s.shed, 1u);
+  EXPECT_EQ(s.batches, 2u);
+  EXPECT_EQ(s.queue_wait.count, 3u);  // every popped miss, expired or not
+  EXPECT_EQ(s.latency.count, 2u);     // the blocking predicts only
+  // The typed snapshot and the registry's untyped export read the same
+  // atomics, so for an idle service every row agrees exactly.
+  EXPECT_EQ(&service.metrics().registry(), &obs::MetricsRegistry::global());
+  expect_service_rows(s, service.metrics().prefix());
 
   // A second service registers under a different prefix: no sharing.
   SelectionService other(registry, opts);
-  EXPECT_NE(other.metrics().prefix(), prefix);
+  EXPECT_NE(other.metrics().prefix(), service.metrics().prefix());
   EXPECT_EQ(other.snapshot().requests, 0u);
+}
+
+TEST(RouterObs, SnapshotMatchesRegistryExport) {
+  auto& p = pipeline();
+  // Both replicas drag every forward by 2 ms and the hedge budget is 1 µs,
+  // so every miss is hedged to its sibling.
+  fault::Injector slow_all;
+  fault::Plan drag;
+  drag.delay_prob = 1.0;
+  drag.delay_us = 2'000;
+  slow_all.configure(fault::Site::kForward, drag);
+  RouterOptions opts;
+  opts.replicas = 2;
+  opts.hedge_fixed_us = 1;
+  opts.service.num_workers = 1;
+  opts.pin_workers = false;
+  opts.injectors = {&slow_all, &slow_all};
+  ModelRegistry registry(p.selector.clone());
+  ReplicaRouter router(registry, opts);
+  for (std::size_t i = 0; i < 6; ++i)
+    (void)router.predict_index(p.corpus[i].matrix);
+  router.shutdown();
+
+  const RouterStats s = router.snapshot();
+  EXPECT_EQ(s.requests, 6u);
+  EXPECT_GT(s.hedges, 0u);
+  EXPECT_EQ(s.hedge_budget_us, 1u);
+  EXPECT_EQ(s.latency.count, 6u);
+  EXPECT_GT(s.cnn_wait.count, 0u);
+  const obs::MetricsSnapshot reg =
+      obs::MetricsRegistry::global().snapshot(router.metrics_prefix());
+  std::size_t rows = 0;
+#define EXPECT_ROW(kind, field, name, doc)                             \
+  expect_row<obs::kind>(reg, router.metrics_prefix() + name, s.field); \
+  ++rows;
+  DNNSPMV_ROUTER_METRICS(EXPECT_ROW)
+#undef EXPECT_ROW
+  EXPECT_EQ(exported(reg), rows);
+  // Each replica's block reads the same through both views too.
+  ASSERT_EQ(s.replica.size(), 2u);
+  for (std::size_t i = 0; i < s.replica.size(); ++i)
+    expect_service_rows(s.replica[i], router.replica(i).metrics().prefix());
 }
 
 TEST(SelectionService, MultithreadedHammerMatchesDirectPredictions) {
@@ -359,9 +460,9 @@ TEST(AdaptiveSpmv, ReusesPredictionCacheAcrossConstructions) {
 
 TEST(ServiceMetrics, LatencyHistogramBucketsAndQuantiles) {
   ServiceMetrics m;
-  m.record_latency(0.5e-6);  // bucket 0
-  m.record_latency(3e-6);    // ~bucket 1
-  m.record_latency(1e-3);    // ~bucket 9/10
+  m.latency.observe_seconds(0.5e-6);  // bucket 0
+  m.latency.observe_seconds(3e-6);    // ~bucket 1
+  m.latency.observe_seconds(1e-3);    // ~bucket 9/10
   const ServiceStats s = m.snapshot();
   EXPECT_EQ(s.latency.count, 3u);
   EXPECT_GT(s.latency.quantile(1.0), s.latency.quantile(0.01));
