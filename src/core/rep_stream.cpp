@@ -6,9 +6,6 @@
 #if defined(DNNSPMV_SIMD) && defined(__AVX2__)
 #include <immintrin.h>
 #define DNNSPMV_REP_AVX2 1
-#elif defined(__SSE2__)
-#include <emmintrin.h>
-#define DNNSPMV_REP_SSE2 1
 #endif
 
 #include "common/error.hpp"
@@ -145,87 +142,13 @@ inline void run_bd_simd(const RunCtx& cx, std::int64_t row,
   if (k < len) run_bd_scalar(cx, row, cols + k, len - k);
 }
 
-#elif defined(DNNSPMV_REP_SSE2)
-
-// 4 lanes, SSE2 only (no abs/ cvttps on epi32 gaps matter: abs via the
-// sign-mask trick). Same correct-then-scatter structure as the AVX2 path.
-inline __m128i sse2_abs_epi32(__m128i x) {
-  const __m128i sign = _mm_srai_epi32(x, 31);
-  return _mm_sub_epi32(_mm_xor_si128(x, sign), sign);
-}
-
-inline void run_hist_simd(const RunCtx& cx, std::int64_t row,
-                          const index_t* cols, std::int64_t len) {
-  const std::int64_t hr = rep_cell_of(row, cx.rows, cx.s);
-  float* rrow = cx.t0->data() + hr * cx.bins;
-  float* cbase = cx.t1->data();
-  const __m128i vrow = _mm_set1_epi32(static_cast<int>(row));
-  const __m128 vbs = _mm_set1_ps(cx.bin_scale);
-  const __m128 vcs = _mm_set1_ps(cx.cell_scale);
-  alignas(16) std::int32_t dist[4], bin[4], cell[4], colv[4];
-  std::int64_t k = 0;
-  for (; k + 4 <= len; k += 4) {
-    const __m128i vcol =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + k));
-    const __m128i vdist = sse2_abs_epi32(_mm_sub_epi32(vcol, vrow));
-    const __m128i vbin =
-        _mm_cvttps_epi32(_mm_mul_ps(_mm_cvtepi32_ps(vdist), vbs));
-    const __m128i vcell =
-        _mm_cvttps_epi32(_mm_mul_ps(_mm_cvtepi32_ps(vcol), vcs));
-    _mm_store_si128(reinterpret_cast<__m128i*>(dist), vdist);
-    _mm_store_si128(reinterpret_cast<__m128i*>(bin), vbin);
-    _mm_store_si128(reinterpret_cast<__m128i*>(cell), vcell);
-    _mm_store_si128(reinterpret_cast<__m128i*>(colv), vcol);
-    for (int l = 0; l < 4; ++l) {
-      const std::int64_t b = std::min<std::int64_t>(
-          cx.bins - 1,
-          fix_div(bin[l], cx.bins * static_cast<std::int64_t>(dist[l]),
-                  cx.max_dim));
-      const std::int64_t hc = std::min<std::int64_t>(
-          cx.s - 1,
-          fix_div(cell[l], static_cast<std::int64_t>(colv[l]) * cx.s,
-                  cx.cols));
-      rrow[b] += 1.0f;
-      cbase[hc * cx.bins + b] += 1.0f;
-    }
-  }
-  if (k < len) run_hist_scalar(cx, row, cols + k, len - k);
-}
-
-inline void run_bd_simd(const RunCtx& cx, std::int64_t row,
-                        const index_t* cols, std::int64_t len) {
-  const std::int64_t cr = rep_cell_of(row, cx.rows, cx.s);
-  float* brow = cx.t0->data() + cr * cx.s;
-  float* drow = cx.t1 ? cx.t1->data() + cr * cx.s : nullptr;
-  const __m128 vcs = _mm_set1_ps(cx.cell_scale);
-  alignas(16) std::int32_t cell[4], colv[4];
-  std::int64_t k = 0;
-  for (; k + 4 <= len; k += 4) {
-    const __m128i vcol =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + k));
-    const __m128i vcell =
-        _mm_cvttps_epi32(_mm_mul_ps(_mm_cvtepi32_ps(vcol), vcs));
-    _mm_store_si128(reinterpret_cast<__m128i*>(cell), vcell);
-    _mm_store_si128(reinterpret_cast<__m128i*>(colv), vcol);
-    for (int l = 0; l < 4; ++l) {
-      const std::int64_t cc = std::min<std::int64_t>(
-          cx.s - 1,
-          fix_div(cell[l], static_cast<std::int64_t>(colv[l]) * cx.s,
-                  cx.cols));
-      brow[cc] = 1.0f;
-      if (drow) drow[cc] += 1.0f;
-    }
-  }
-  if (k < len) run_bd_scalar(cx, row, cols + k, len - k);
-}
-
-#endif  // DNNSPMV_REP_AVX2 / DNNSPMV_REP_SSE2
+#endif  // DNNSPMV_REP_AVX2
 
 inline void process_run(const RunCtx& cx, bool hist, bool simd,
                         std::int64_t row, const index_t* cols,
                         std::int64_t len) {
   if (len <= 0) return;
-#if defined(DNNSPMV_REP_AVX2) || defined(DNNSPMV_REP_SSE2)
+#if defined(DNNSPMV_REP_AVX2)
   if (simd) {
     if (hist)
       run_hist_simd(cx, row, cols, len);

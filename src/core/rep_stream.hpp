@@ -18,11 +18,10 @@
 //    same matrix always samples the same nonzeros: train-time and
 //    serve-time representations are bit-identical, and repeated requests
 //    are deterministic.
-//  * SIMD histogram binning (AVX2 behind the DNNSPMV_SIMD build switch,
-//    SSE2 on any x86-64, scalar elsewhere): distances and bin candidates
-//    for a whole lane-width of nonzeros at a time, with an exact integer
-//    correction step so SIMD, scalar, and the exact builders agree
-//    bitwise.
+//  * AVX2 histogram binning behind the DNNSPMV_SIMD build switch (the
+//    scalar kernel otherwise): distances and bin candidates for eight
+//    nonzeros at a time, with an exact integer correction step so SIMD,
+//    scalar, and the exact builders agree bitwise.
 //  * arena-backed buffers: build_into() accumulates raw counts in
 //    TensorArena slots and writes outputs into caller-owned tensors via
 //    ensure2(), so steady-state builds perform zero heap allocation.
@@ -65,9 +64,9 @@ struct RepStreamOptions {
   // Sampling budget: <= 0 disables sampling (always exact, still single
   // pass + arena-backed).
   std::int64_t sample_nnz = kDefaultRepSampleNnz;
-  // Runtime switch for the vectorized binning kernel (compile-time ISA
-  // still decides what "vectorized" means). Off forces the scalar kernel —
-  // benches and the SIMD-vs-scalar equality test flip this.
+  // Runtime switch for the AVX2 binning kernel (no effect in a build
+  // without it). Off forces the scalar kernel — benches and the
+  // SIMD-vs-scalar equality test flip this.
   bool use_simd = true;
 };
 

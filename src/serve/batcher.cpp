@@ -38,17 +38,14 @@ Batcher::Batcher(ModelSubscription& models, RequestQueue& queue,
   DNNSPMV_CHECK(max_batch > 0);
 }
 
-void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws) {
-  const std::shared_ptr<const FormatSelector> model = models_.model();
-  serve_batch(batch, ws, *model);
-}
-
 void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
                           const FormatSelector& model) {
   if (batch.empty()) return;
   // Recycles a request's (or assembled) input buffers into the pool; a
   // moved-from / empty set is a no-op, so it is safe to offer both the
-  // request and the assembled copy on error paths.
+  // request and the assembled copy on error paths. Every path recycles
+  // before it resolves the promise, as it counts and caches first: a
+  // client that sees its answer finds the buffers already pooled.
   const auto recycle = [this](std::vector<Tensor>&& bufs) {
     if (pool_) pool_->release(std::move(bufs));
   };
@@ -74,19 +71,19 @@ void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
     PredictRequest& r = batch[i];
     if (r.deadline_us >= 0 && popped_us > r.deadline_us) {
       metrics_.deadline_expired.inc();
+      recycle(std::move(r.inputs));
       fail_request(r, std::make_exception_ptr(DnnspmvError(
                           errc::deadline_exceeded,
                           "request expired in queue before a worker "
                           "could serve it")));
-      recycle(std::move(r.inputs));
       continue;
     }
     if (inj.enabled() && inj.decide(fault::Site::kWorkerPop).should_drop) {
       metrics_.failed.inc();
+      recycle(std::move(r.inputs));
       fail_request(r, std::make_exception_ptr(DnnspmvError(
                           errc::fault_injected,
                           "injected drop at serve site 'worker_pop'")));
-      recycle(std::move(r.inputs));
       continue;
     }
     if (kept != i) batch[kept] = std::move(batch[i]);
@@ -109,6 +106,14 @@ void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
     if (lo == hi) return;
     const std::size_t n = hi - lo;
     std::vector<std::vector<Tensor>> prepared;
+    // Served or failed, the input buffers are dead. They live in
+    // `prepared` once assembled and in `batch` before that (a pre-assembly
+    // failure), so offer both containers; only the non-empty ones pool.
+    const auto recycle_group = [&] {
+      for (std::vector<Tensor>& bufs : prepared) recycle(std::move(bufs));
+      for (std::size_t i = lo; i < hi; ++i)
+        recycle(std::move(batch[i].inputs));
+    };
     try {
       inj.inject(fault::Site::kForward);
       prepared.reserve(n);
@@ -123,18 +128,20 @@ void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
         picks = model.predict_prepared(prepared, &ws, op);
       }
       DNNSPMV_CHECK(picks.size() == n);
-      // Cache and metrics first, promises last: once a client unblocks,
-      // its prediction is already cached and the batch counters already
-      // reflect it (snapshot() right after predict() must see this
-      // forward). Entries are keyed under the version that produced them,
-      // so probes stop hitting them once the service moves to a newer
-      // version. (Fingerprints arrive op-scoped from the submitter.)
+      // Cache, metrics and buffers first, promises last: once a client
+      // unblocks, its prediction is already cached, the batch counters
+      // already reflect it (snapshot() right after predict() must see this
+      // forward) and its buffers are pooled. Entries are keyed under the
+      // version that produced them, so probes stop hitting them once the
+      // service moves to a newer version. (Fingerprints arrive op-scoped
+      // from the submitter.)
       obs::Span span("serve.fulfill");
       for (std::size_t i = 0; i < n; ++i)
         cache_.put(versioned_cache_key(batch[lo + i].fingerprint,
                                        model.model_version()),
                    picks[i]);
       metrics_.record_batch(n);
+      recycle_group();
       for (std::size_t i = 0; i < n; ++i) {
         batch[lo + i].result.set_value(picks[i]);
         invoke_done(batch[lo + i], picks[i], AnswerSource::kCnn, nullptr);
@@ -144,14 +151,9 @@ void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
       // waiting client gets the exception instead of a hang.
       const std::exception_ptr err = std::current_exception();
       metrics_.failed.inc(n);
+      recycle_group();
       for (std::size_t i = lo; i < hi; ++i) fail_request(batch[i], err);
     }
-    // Served or failed, the input buffers are dead — recycle them. On the
-    // error paths they may still live in `batch` (pre-assembly failure),
-    // so offer both containers; only the non-empty ones pool.
-    for (std::vector<Tensor>& bufs : prepared) recycle(std::move(bufs));
-    for (std::size_t i = lo; i < hi; ++i)
-      recycle(std::move(batch[i].inputs));
   };
   serve_group(0, n_spmv, SpOp::kSpmv);
   serve_group(n_spmv, batch.size(), SpOp::kSpmm);

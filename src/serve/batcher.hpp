@@ -67,10 +67,6 @@ class Batcher {
   void serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
                    const FormatSelector& model);
 
-  /// Convenience for deterministic tests: pins the subscription's current
-  /// model for this one batch.
-  void serve_batch(std::vector<PredictRequest>& batch, Workspace& ws);
-
  private:
   ModelSubscription& models_;
   RequestQueue& queue_;

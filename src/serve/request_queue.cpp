@@ -10,28 +10,6 @@ RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity) {
   DNNSPMV_CHECK_MSG(capacity > 0, "request queue capacity must be positive");
 }
 
-bool RequestQueue::push(PredictRequest&& r) {
-  std::unique_lock<std::mutex> lock(mu_);
-  ++full_waiters_;
-  not_full_.wait(lock, [this] { return closed_ || q_.size() < capacity_; });
-  --full_waiters_;
-  if (closed_) return false;
-  q_.push_back(std::move(r));
-  approx_size_.store(q_.size(), std::memory_order_relaxed);
-  // Waiter-gated wakeup: only pay the notify (a futex syscall on Linux)
-  // when a worker is actually parked. Reading the count under the lock is
-  // race-free — a worker can only *start* waiting while holding mu_, and
-  // any worker that locks after our unlock sees the non-empty queue in its
-  // predicate and never sleeps. On an oversubscribed host (closed-loop
-  // clients + workers > cores) the unconditional notify was a per-request
-  // context-switch storm: every push preempted the producer to wake a
-  // worker that was already runnable.
-  const bool wake = empty_waiters_ > 0;
-  lock.unlock();
-  if (wake) not_empty_.notify_one();
-  return true;
-}
-
 PushResult RequestQueue::try_push(PredictRequest&& r) {
   bool wake = false;
   {
@@ -40,6 +18,9 @@ PushResult RequestQueue::try_push(PredictRequest&& r) {
     if (q_.size() >= capacity_) return PushResult::kFull;
     q_.push_back(std::move(r));
     approx_size_.store(q_.size(), std::memory_order_relaxed);
+    // Notify (a futex syscall) only when a worker is parked. Reading the
+    // count under the lock is race-free: a worker only starts waiting while
+    // holding mu_, and one that locks after us sees the non-empty queue.
     wake = empty_waiters_ > 0;
   }
   if (wake) not_empty_.notify_one();
@@ -59,9 +40,6 @@ std::size_t RequestQueue::pop_batch(std::vector<PredictRequest>& out,
     q_.pop_front();
   }
   approx_size_.store(q_.size(), std::memory_order_relaxed);
-  const bool wake = n > 0 && full_waiters_ > 0;
-  lock.unlock();
-  if (wake) not_full_.notify_all();
   return n;
 }
 
@@ -71,7 +49,6 @@ void RequestQueue::close() {
     closed_ = true;
   }
   not_empty_.notify_all();
-  not_full_.notify_all();
 }
 
 bool RequestQueue::closed() const {

@@ -6,9 +6,9 @@
 // into inference batches: under load a worker drains a full micro-batch per
 // wakeup, when idle it serves singles at minimum latency.
 //
-// push() blocks while the queue is full (backpressure, bounded memory);
-// try_push() reports kFull instead of blocking, which is what the service's
-// bounded-retry/load-shedding admission control is built on. close()
+// try_push() never blocks: a full queue reports kFull (memory stays
+// bounded), which is what the service's bounded-retry/load-shedding
+// admission control is built on. close()
 // initiates shutdown: subsequent pushes fail fast, poppers drain whatever
 // is queued and then get 0. In-flight requests are therefore always
 // answered, never dropped — though requests whose deadline passed while
@@ -91,9 +91,6 @@ class RequestQueue {
  public:
   explicit RequestQueue(std::size_t capacity);
 
-  /// Blocks while full. Returns false (without enqueueing) once closed.
-  bool push(PredictRequest&& r);
-
   /// Non-blocking push. On kFull/kClosed `r` is left intact (not moved
   /// from), so the caller can retry, shed, or fail it.
   PushResult try_push(PredictRequest&& r);
@@ -121,11 +118,10 @@ class RequestQueue {
  private:
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  // Parked-thread counts (guarded by mu_) that gate the notify calls:
-  // nobody waiting → no syscall. See push() for the correctness argument.
+  // Parked-popper count (guarded by mu_) that gates try_push's notify:
+  // nobody waiting → no syscall. See try_push() for the correctness
+  // argument.
   std::size_t empty_waiters_ = 0;
-  std::size_t full_waiters_ = 0;
   std::deque<PredictRequest> q_;
   std::atomic<std::size_t> approx_size_{0};
   std::size_t capacity_;

@@ -8,17 +8,22 @@
 //  * arena-backed steady state stops allocating after the first build;
 //  * selection parity end to end: a trained selector picks (almost) the
 //    same formats from sampled representations as from exact ones;
-//  * the service recycles input buffers and reports serve<N>.rep_build_us.
+//  * the service recycles input buffers, served or failed, and reports
+//    serve<N>.rep_build_us.
 #include "core/rep_stream.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <future>
+#include <thread>
 #include <vector>
 
 #include "core/selector.hpp"
 #include "gen/corpus.hpp"
 #include "gen/generators.hpp"
+#include "serve/fault.hpp"
 #include "serve/rep_pool.hpp"
 #include "serve/service.hpp"
 
@@ -251,30 +256,50 @@ TEST(RepPool, RecyclesUpToCapacity) {
   EXPECT_EQ(pool.size(), 2u);
 }
 
-TEST(RepPool, ServiceRecyclesMissBuffersAndReportsRepBuild) {
-  CorpusSpec spec;
-  spec.count = 40;
-  spec.min_dim = 48;
-  spec.max_dim = 128;
-  spec.seed = 23;
-  const auto corpus = build_corpus(spec);
-  const auto platform = make_analytic_cpu(intel_xeon_params());
-  const auto labeled = collect_labels(corpus, *platform);
-  SelectorOptions opts;
-  opts.mode = RepMode::kHistogram;
-  opts.rep_rows = 16;
-  opts.rep_bins = 8;
-  opts.train.epochs = 4;
-  opts.train.batch = 16;
-  FormatSelector sel(opts);
-  sel.fit(labeled, platform->formats());
+// One small trained selector (and its corpus) shared by the service tests.
+struct PoolPipeline {
+  std::vector<CorpusEntry> corpus;
+  FormatSelector selector;
 
+  PoolPipeline() {
+    CorpusSpec spec;
+    spec.count = 40;
+    spec.min_dim = 48;
+    spec.max_dim = 128;
+    spec.seed = 23;
+    corpus = build_corpus(spec);
+    const auto platform = make_analytic_cpu(intel_xeon_params());
+    const auto labeled = collect_labels(corpus, *platform);
+    SelectorOptions opts;
+    opts.mode = RepMode::kHistogram;
+    opts.rep_rows = 16;
+    opts.rep_bins = 8;
+    opts.train.epochs = 4;
+    opts.train.batch = 16;
+    selector = FormatSelector(opts);
+    selector.fit(labeled, platform->formats());
+  }
+};
+
+const PoolPipeline& pool_pipeline() {
+  static const PoolPipeline p;
+  return p;
+}
+
+TEST(RepPool, ServiceRecyclesMissBuffersAndReportsRepBuild) {
+  const PoolPipeline& p = pool_pipeline();
   ServiceOptions sopts;
   sopts.num_workers = 2;
   {
-    ModelRegistry registry(sel.clone());
+    ModelRegistry registry(p.selector.clone());
     SelectionService service(registry, sopts);
-    for (const auto& entry : corpus) (void)service.predict(entry.matrix);
+    for (const auto& entry : p.corpus) {
+      (void)service.predict(entry.matrix);
+      // A worker pools a request's buffers before it resolves the
+      // request, so a miss's buffer set is back by the time predict
+      // returns.
+      EXPECT_GE(service.rep_pool().size(), 1u);
+    }
     const ServiceStats stats = service.snapshot();
     // Every miss built its inputs through the streaming builder and timed
     // the build into serve<N>.rep_build_us.
@@ -286,12 +311,59 @@ TEST(RepPool, ServiceRecyclesMissBuffersAndReportsRepBuild) {
     EXPECT_EQ(reg.histogram_or(service.metrics().prefix() + "rep_build_us")
                   .count,
               stats.rep_build.count);
-    // Workers released the served buffers back to the pool.
-    EXPECT_GT(service.rep_pool().size(), 0u);
     // A warm repeat (cache cleared path not taken — hits skip the pool) of
     // distinct matrices keeps recycling: pool never exceeds its cap.
     EXPECT_LE(service.rep_pool().size(), service.rep_pool().capacity());
   }
+}
+
+// A failed request's buffers return to the pool too, before its failure
+// reaches the client: one service (one worker, one request per batch, a
+// private injector) driven through a deadline expiry, an injected
+// worker-pop drop and an injected forward throw.
+TEST(RepPool, FailedRequestsReturnTheirBuffers) {
+  const PoolPipeline& p = pool_pipeline();
+  const auto code_of = [](std::future<std::int32_t>& fut) {
+    try {
+      (void)fut.get();
+      return errc::ok;
+    } catch (const DnnspmvError& e) {
+      return e.code();
+    }
+  };
+  fault::Injector inj;
+  ServiceOptions opts;
+  opts.num_workers = 1;
+  opts.max_batch = 1;
+  opts.injector = &inj;
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
+
+  // The first request holds the worker in a 60 ms forward; the second
+  // expires in the queue behind it. Each built its own buffer set.
+  inj.configure(fault::Site::kForward, {.delay_us = 60'000, .delay_next = 1});
+  std::future<std::int32_t> pinned =
+      service.submit({.matrix = &p.corpus[0].matrix});
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  std::future<std::int32_t> doomed = service.submit(
+      {.matrix = &p.corpus[1].matrix,
+       .deadline = std::chrono::milliseconds(1)});
+  EXPECT_EQ(code_of(doomed), errc::deadline_exceeded);
+  EXPECT_EQ(service.rep_pool().size(), 2u);
+  EXPECT_EQ(code_of(pinned), errc::ok);
+
+  // Each miss below takes a pooled set and must put it back before its
+  // failure resolves.
+  inj.configure(fault::Site::kWorkerPop, {.drop_next = 1});
+  std::future<std::int32_t> dropped =
+      service.submit({.matrix = &p.corpus[2].matrix});
+  EXPECT_EQ(code_of(dropped), errc::fault_injected);
+  EXPECT_EQ(service.rep_pool().size(), 2u);
+  inj.configure(fault::Site::kForward, {.throw_next = 1});
+  std::future<std::int32_t> thrown =
+      service.submit({.matrix = &p.corpus[3].matrix});
+  EXPECT_EQ(code_of(thrown), errc::fault_injected);
+  EXPECT_EQ(service.rep_pool().size(), 2u);
 }
 
 }  // namespace

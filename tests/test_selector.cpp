@@ -325,7 +325,8 @@ TEST(SelectorSpmm, MixedOpBatchAnswersLikePredictIndex) {
       batch.push_back(std::move(r));
     }
     Workspace ws;
-    batcher.serve_batch(batch, ws);
+    const std::shared_ptr<const FormatSelector> model = models.model();
+    batcher.serve_batch(batch, ws, *model);
     for (std::size_t i = 0; i < answers.size(); ++i)
       EXPECT_EQ(answers[i].get(), sel->predict_index(*p.mats[i], ops[i]))
           << "request " << i << (sel->quantized() ? " (int8)" : " (fp32)");

@@ -153,11 +153,12 @@ TEST(RequestQueue, DrainsInFlightRequestsAfterClose) {
     PredictRequest r;
     r.fingerprint = static_cast<std::uint64_t>(i);
     futs.push_back(r.result.get_future());
-    ASSERT_TRUE(q.push(std::move(r)));
+    ASSERT_EQ(q.try_push(std::move(r)), PushResult::kOk);
   }
   q.close();
   // Push after close is rejected without enqueueing.
-  EXPECT_FALSE(q.push(PredictRequest{}));
+  EXPECT_EQ(q.try_push(PredictRequest{}), PushResult::kClosed);
+  EXPECT_EQ(q.size(), 3u);
 
   // Consumers still drain what was in flight…
   std::vector<PredictRequest> batch;
@@ -178,7 +179,7 @@ TEST(RequestQueue, PopBlocksUntilPush) {
   std::thread consumer([&] { q.pop_batch(got, 4); });
   PredictRequest r;
   r.fingerprint = 7;
-  ASSERT_TRUE(q.push(std::move(r)));
+  ASSERT_EQ(q.try_push(std::move(r)), PushResult::kOk);
   consumer.join();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].fingerprint, 7u);
