@@ -79,12 +79,12 @@
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "core/feedback.hpp"
 #include "core/online.hpp"
 #include "gen/corpus.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "serve/fault.hpp"
-#include "serve/feedback.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
 

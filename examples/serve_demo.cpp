@@ -37,11 +37,11 @@
 #include <thread>
 
 #include "common/cli.hpp"
+#include "core/feedback.hpp"
 #include "core/online.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "perf/labels.hpp"
-#include "serve/feedback.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
 

@@ -15,12 +15,14 @@
 // Entries are keyed by that exact pattern key and the selector's
 // weights_id(), so a selector refitted, requantized or reloaded in place
 // misses instead of answering with the old weights' pick, and one cache can
-// serve several selectors. The serve layer's SelectionService keeps its own
-// cache, keyed by structural fingerprint.
+// serve several selectors. The cache type lives here in core
+// (core/lru_cache.hpp); the serve layer's SelectionService keeps its own
+// instance, keyed by structural fingerprint, so this operator needs
+// nothing from the serving tier.
 #pragma once
 
+#include "core/lru_cache.hpp"
 #include "core/selector.hpp"
-#include "serve/lru_cache.hpp"
 #include "sparse/spmv.hpp"
 
 namespace dnnspmv {

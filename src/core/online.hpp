@@ -1,7 +1,7 @@
 // OnlineTrainer — the learning half of the online loop (DESIGN.md §12).
 //
 //   FeedbackCollector ──drain──▶ replay buffer ──round──▶ fine-tune ──▶
-//   (serve/feedback.hpp)          (bounded, newest-kept)  (top evolvement,
+//   (core/feedback.hpp)           (bounded, newest-kept)  (top evolvement,
 //                                                          transfer.cpp)
 //                                                              │
 //                                    ModelRegistry.publish() ◀─┘
@@ -34,9 +34,9 @@
 #include <string>
 #include <thread>
 
+#include "core/feedback.hpp"
 #include "core/model_registry.hpp"
 #include "core/trainer.hpp"
-#include "serve/feedback.hpp"
 
 namespace dnnspmv {
 

@@ -204,12 +204,11 @@ std::vector<std::int32_t> FormatSelector::predict_prepared(
   // shares the net's fp32 pool layers (mutable argmax scratch).
   Tensor logits;
   std::lock_guard<std::mutex> lock(*infer_mu_);
+  Workspace& scratch = ws ? *ws : *infer_ws_;
   if (qnet_)
-    qnet_->forward(inputs, logits, head_of(op));
-  else if (ws)
-    net_->forward(inputs, logits, /*training=*/false, *ws, head_of(op));
+    qnet_->forward(inputs, logits, scratch, head_of(op));
   else
-    net_->forward(inputs, logits, /*training=*/false, head_of(op));
+    net_->forward(inputs, logits, /*training=*/false, scratch, head_of(op));
   return argmax_rows(logits);
 }
 
@@ -334,7 +333,9 @@ FormatSelector FormatSelector::load(const std::string& path) {
   read_pod(is, heads);
   read_pod(is, opts.spmm_cols);
   read_pod(is, ncand);
-  DNNSPMV_CHECK_MSG(heads >= 1 && heads <= kNumOps && ncand >= 2,
+  DNNSPMV_CHECK_MSG(heads >= 1 && heads <= kNumOps && ncand >= 2 &&
+                        ncand <= kNumFormats && mode >= 0 &&
+                        mode <= static_cast<std::int32_t>(RepMode::kHistogram),
                     "corrupt selector file");
   opts.mode = static_cast<RepMode>(mode);
   opts.late_merge = late != 0;
@@ -343,6 +344,8 @@ FormatSelector FormatSelector::load(const std::string& path) {
   for (std::int32_t i = 0; i < ncand; ++i) {
     std::int32_t fi = 0;
     read_pod(is, fi);
+    DNNSPMV_CHECK_MSG(fi >= 0 && fi < kNumFormats,
+                      path << " names format id " << fi);
     sel.candidates_.push_back(static_cast<Format>(fi));
   }
   sel.model_version_ = model_version;

@@ -117,7 +117,8 @@ class FormatSelector {
   /// forward pass. The micro-batching backend of serve::SelectionService.
   /// `ws` optionally supplies the forward-pass scratch workspace (serve
   /// workers keep one per thread so miss-path inference reuses warm
-  /// buffers); null falls back to the net's own.
+  /// buffers); null uses the selector's own, which the inference lock
+  /// guards like the net.
   std::vector<std::int32_t> predict_prepared(
       const std::vector<std::vector<Tensor>>& prepared, Workspace* ws = nullptr,
       SpOp op = SpOp::kSpmv) const;
@@ -204,6 +205,9 @@ class FormatSelector {
   // Serializes forward passes (MergeNet scratch is not re-entrant); in a
   // unique_ptr so the selector stays movable.
   std::unique_ptr<std::mutex> infer_mu_ = std::make_unique<std::mutex>();
+  // Forward scratch for callers that pass predict_prepared no workspace;
+  // guarded by infer_mu_.
+  std::unique_ptr<Workspace> infer_ws_ = std::make_unique<Workspace>();
 };
 
 }  // namespace dnnspmv

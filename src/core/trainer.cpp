@@ -182,8 +182,8 @@ TrainHistory train_cnn(MergeNet& net, const Dataset& data, int net_inputs,
 }
 
 std::vector<std::int32_t> predict_cnn(MergeNet& net, const Dataset& data,
-                                      int net_inputs, int batch,
-                                      Workspace* ws) {
+                                      int net_inputs, int batch) {
+  Workspace ws;
   std::vector<std::int32_t> pred;
   pred.reserve(data.samples.size());
   for (std::size_t off = 0; off < data.samples.size();
@@ -195,10 +195,7 @@ std::vector<std::int32_t> predict_cnn(MergeNet& net, const Dataset& data,
       idx.push_back(static_cast<std::int32_t>(i));
     const std::vector<Tensor> inputs = assemble_batch(data, idx, net_inputs);
     Tensor logits;
-    if (ws)
-      net.forward(inputs, logits, /*training=*/false, *ws);
-    else
-      net.forward(inputs, logits, /*training=*/false);
+    net.forward(inputs, logits, /*training=*/false, ws);
     for (std::int32_t p : argmax_rows(logits)) pred.push_back(p);
   }
   return pred;

@@ -42,12 +42,9 @@ TrainHistory train_cnn(MergeNet& net, const Dataset& data,
                        int net_inputs, const TrainConfig& cfg,
                        std::size_t head = 0);
 
-/// Argmax predictions for every sample. `ws` optionally supplies the
-/// scratch workspace for the forward passes (serve workers pass a
-/// per-thread one); null falls back to the net's own.
+/// Argmax predictions for every sample, in batches of `batch`.
 std::vector<std::int32_t> predict_cnn(MergeNet& net, const Dataset& data,
-                                      int net_inputs, int batch = 64,
-                                      Workspace* ws = nullptr);
+                                      int net_inputs, int batch = 64);
 
 /// Fraction of samples predicted correctly.
 double accuracy_cnn(MergeNet& net, const Dataset& data, int net_inputs);

@@ -13,6 +13,15 @@ namespace {
 // Layout of the cached-corpus file; bump when the entry encoding changes.
 constexpr char kCorpusMagic[8] = {'D', 'N', 'S', 'P', 'C', 'O', 'R', 'P'};
 constexpr std::uint32_t kCorpusVersion = 1;
+// Magic, version and entry count.
+constexpr std::uint64_t kFileHeaderBytes =
+    sizeof(kCorpusMagic) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
+// Class, rows, cols and nnz of one entry; the smallest entry (one row, no
+// nonzeros) adds its two row pointers.
+constexpr std::uint64_t kEntryHeaderBytes =
+    sizeof(std::int32_t) + 2 * sizeof(index_t) + sizeof(std::int64_t);
+constexpr std::uint64_t kMinEntryBytes =
+    kEntryHeaderBytes + 2 * sizeof(std::int64_t);
 
 index_t rand_dim(const DlmcSpec& spec, Rng& rng) {
   const double lo = std::log(static_cast<double>(spec.min_dim));
@@ -31,12 +40,41 @@ bool read_pod(std::ifstream& is, T* v) {
   return static_cast<bool>(is);
 }
 
+// Reads `n` elements into `v` when the `left` bytes the file has not yet
+// read can hold them; a count the file cannot back sizes nothing.
 template <typename T>
-bool read_vec(std::ifstream& is, std::size_t n, std::vector<T>* v) {
-  v->resize(n);
+bool read_vec(std::ifstream& is, std::uint64_t n, std::uint64_t& left,
+              std::vector<T>* v) {
+  if (n > left / sizeof(T)) return false;
+  left -= n * sizeof(T);
+  v->resize(static_cast<std::size_t>(n));
   is.read(reinterpret_cast<char*>(v->data()),
           static_cast<std::streamsize>(n * sizeof(T)));
   return static_cast<bool>(is);
+}
+
+// Reads one cached entry; false on a short file, a field out of range or
+// a matrix that fails Csr::validate().
+bool read_entry(std::ifstream& is, std::uint64_t& left, CorpusEntry* e) {
+  std::int32_t cls = 0;
+  std::int64_t nnz = 0;
+  Csr& a = e->matrix;
+  if (!read_pod(is, &cls) || !read_pod(is, &a.rows) ||
+      !read_pod(is, &a.cols) || !read_pod(is, &nnz) || cls < 0 ||
+      cls >= kNumGenClasses || a.rows <= 0 || a.cols <= 0 || nnz < 0)
+    return false;
+  left -= kEntryHeaderBytes;
+  e->gen_class = static_cast<GenClass>(cls);
+  if (!read_vec(is, static_cast<std::uint64_t>(a.rows) + 1, left, &a.ptr) ||
+      !read_vec(is, static_cast<std::uint64_t>(nnz), left, &a.idx) ||
+      !read_vec(is, static_cast<std::uint64_t>(nnz), left, &a.val))
+    return false;
+  try {
+    a.validate();
+  } catch (const DnnspmvError&) {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -168,8 +206,10 @@ bool save_corpus(const std::string& path,
 
 bool load_corpus(const std::string& path, std::vector<CorpusEntry>* out) {
   out->clear();
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return false;
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = is.tellg();  // -1 when the open failed
+  if (size < 0) return false;
+  is.seekg(0);
   char magic[sizeof(kCorpusMagic)];
   is.read(magic, sizeof(magic));
   if (!is || std::memcmp(magic, kCorpusMagic, sizeof(magic)) != 0)
@@ -179,24 +219,12 @@ bool load_corpus(const std::string& path, std::vector<CorpusEntry>* out) {
   if (!read_pod(is, &version) || version != kCorpusVersion ||
       !read_pod(is, &count))
     return false;
-  out->reserve(count);
+  std::uint64_t left = static_cast<std::uint64_t>(size) - kFileHeaderBytes;
+  if (count > left / kMinEntryBytes) return false;
+  out->reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    std::int32_t cls = 0;
     CorpusEntry e;
-    std::int64_t nnz = 0;
-    if (!read_pod(is, &cls) || cls < 0 || cls >= kNumGenClasses ||
-        !read_pod(is, &e.matrix.rows) || !read_pod(is, &e.matrix.cols) ||
-        !read_pod(is, &nnz) || e.matrix.rows <= 0 || e.matrix.cols <= 0 ||
-        nnz < 0) {
-      out->clear();
-      return false;
-    }
-    e.gen_class = static_cast<GenClass>(cls);
-    if (!read_vec(is, static_cast<std::size_t>(e.matrix.rows) + 1,
-                  &e.matrix.ptr) ||
-        !read_vec(is, static_cast<std::size_t>(nnz), &e.matrix.idx) ||
-        !read_vec(is, static_cast<std::size_t>(nnz), &e.matrix.val) ||
-        e.matrix.ptr.front() != 0 || e.matrix.ptr.back() != nnz) {
+    if (!read_entry(is, left, &e)) {
       out->clear();
       return false;
     }

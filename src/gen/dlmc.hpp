@@ -50,7 +50,8 @@ std::vector<CorpusEntry> build_dlmc_corpus(const DlmcSpec& spec);
 /// Binary corpus (de)serialization so CI can cache the generated slice
 /// between runs (keyed on a hash of the generator sources). Returns false
 /// on open failure; load also returns false on a corrupt or
-/// version-mismatched file, leaving `out` empty.
+/// version-mismatched file, leaving `out` empty: no count sizes anything
+/// the file's bytes cannot back, and every matrix passes Csr::validate().
 bool save_corpus(const std::string& path,
                  const std::vector<CorpusEntry>& corpus);
 bool load_corpus(const std::string& path, std::vector<CorpusEntry>* out);

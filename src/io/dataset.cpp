@@ -1,64 +1,8 @@
 #include "io/dataset.hpp"
 
-#include <cstring>
-#include <fstream>
-
 #include "common/error.hpp"
 
 namespace dnnspmv {
-namespace {
-
-constexpr char kMagic[8] = {'D', 'S', 'P', 'M', 'V', 'D', 'S', '1'};
-
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-void read_pod(std::istream& is, T& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DNNSPMV_CHECK_MSG(is.good(), "truncated dataset file");
-}
-
-void write_tensor(std::ostream& os, const Tensor& t) {
-  write_pod(os, static_cast<std::uint32_t>(t.rank()));
-  for (auto d : t.shape()) write_pod(os, d);
-  os.write(reinterpret_cast<const char*>(t.data()),
-           static_cast<std::streamsize>(t.size() * sizeof(float)));
-}
-
-Tensor read_tensor(std::istream& is) {
-  std::uint32_t rank = 0;
-  read_pod(is, rank);
-  std::vector<std::int64_t> shape(rank);
-  for (auto& d : shape) read_pod(is, d);
-  Tensor t(shape);
-  is.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(t.size() * sizeof(float)));
-  DNNSPMV_CHECK_MSG(is.good(), "truncated dataset tensor");
-  return t;
-}
-
-template <typename T>
-void write_vec(std::ostream& os, const std::vector<T>& v) {
-  write_pod(os, static_cast<std::uint64_t>(v.size()));
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(T)));
-}
-
-template <typename T>
-std::vector<T> read_vec(std::istream& is) {
-  std::uint64_t n = 0;
-  read_pod(is, n);
-  std::vector<T> v(static_cast<std::size_t>(n));
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(v.size() * sizeof(T)));
-  DNNSPMV_CHECK_MSG(is.good(), "truncated dataset vector");
-  return v;
-}
-
-}  // namespace
 
 std::vector<std::int64_t> Dataset::label_histogram() const {
   std::vector<std::int64_t> h(candidates.size(), 0);
@@ -68,53 +12,6 @@ std::vector<std::int64_t> Dataset::label_histogram() const {
     ++h[static_cast<std::size_t>(s.label)];
   }
   return h;
-}
-
-void Dataset::save(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  DNNSPMV_CHECK_MSG(os.is_open(), "cannot open " << path << " for write");
-  os.write(kMagic, sizeof(kMagic));
-  std::vector<std::int32_t> fm;
-  fm.reserve(candidates.size());
-  for (Format f : candidates) fm.push_back(static_cast<std::int32_t>(f));
-  write_vec(os, fm);
-  write_pod(os, static_cast<std::uint64_t>(samples.size()));
-  for (const Sample& s : samples) {
-    write_pod(os, static_cast<std::uint32_t>(s.inputs.size()));
-    for (const Tensor& t : s.inputs) write_tensor(os, t);
-    write_vec(os, s.features);
-    write_vec(os, s.format_times);
-    write_pod(os, s.label);
-    write_pod(os, s.gen_class);
-  }
-  DNNSPMV_CHECK_MSG(os.good(), "dataset write failed");
-}
-
-Dataset Dataset::load(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  DNNSPMV_CHECK_MSG(is.is_open(), "cannot open " << path);
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  DNNSPMV_CHECK_MSG(is.good() && std::memcmp(magic, kMagic, 8) == 0,
-                    "bad dataset magic in " << path);
-  Dataset ds;
-  for (std::int32_t f : read_vec<std::int32_t>(is))
-    ds.candidates.push_back(static_cast<Format>(f));
-  std::uint64_t n = 0;
-  read_pod(is, n);
-  ds.samples.resize(static_cast<std::size_t>(n));
-  for (Sample& s : ds.samples) {
-    std::uint32_t ninputs = 0;
-    read_pod(is, ninputs);
-    s.inputs.reserve(ninputs);
-    for (std::uint32_t i = 0; i < ninputs; ++i)
-      s.inputs.push_back(read_tensor(is));
-    s.features = read_vec<double>(is);
-    s.format_times = read_vec<double>(is);
-    read_pod(is, s.label);
-    read_pod(is, s.gen_class);
-  }
-  return ds;
 }
 
 Dataset Dataset::subset(const std::vector<std::int32_t>& indices) const {

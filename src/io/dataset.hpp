@@ -1,15 +1,15 @@
-// Binary dataset container for labelled training samples.
+// In-memory dataset container for labelled training samples.
 //
 // A Dataset stores, per sample, the normalized input representations (a
 // fixed number of equally-shaped tensors — e.g. row histogram + column
 // histogram), the hand-crafted feature vector for the DT baseline, the
 // per-format measured/modelled SpMV times, and the label (best format id).
-// The on-disk layout is a flat little-endian dump, the role the paper's
-// .npz files play in the artifact.
+// Datasets are built from labelled matrices (build_dataset) each run and
+// never written to disk: the trained selector's weight file is what
+// persists.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sparse/format.hpp"
@@ -34,9 +34,6 @@ struct Dataset {
 
   /// Per-class sample counts ("Ground Truth" column of Tables 2/3).
   std::vector<std::int64_t> label_histogram() const;
-
-  void save(const std::string& path) const;
-  static Dataset load(const std::string& path);
 
   /// Index-based subset (for cross-validation folds).
   Dataset subset(const std::vector<std::int32_t>& indices) const;

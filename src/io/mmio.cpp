@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -60,11 +61,14 @@ Csr read_matrix_market(std::istream& is) {
   std::istringstream size_line(line);
   std::int64_t rows = 0, cols = 0, entries = 0;
   size_line >> rows >> cols >> entries;
-  if (!(rows > 0 && cols > 0 && entries >= 0))
+  constexpr std::int64_t kMaxDim = std::numeric_limits<index_t>::max();
+  if (!(rows > 0 && cols > 0 && entries >= 0 && rows <= kMaxDim &&
+        cols <= kMaxDim))
     fail_parse(line_no, "bad size line: '" + line + "'");
 
+  // Grows with the entries actually read: the header's count sizes
+  // nothing, so a header that overstates it fails as truncated data.
   std::vector<Triplet> ts;
-  ts.reserve(static_cast<std::size_t>(entries) * (sym || skew ? 2 : 1));
   for (std::int64_t k = 0; k < entries; ++k) {
     if (!std::getline(is, line))
       fail_parse(line_no, "truncated data: expected " +

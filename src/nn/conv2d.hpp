@@ -28,8 +28,6 @@ class Conv2D final : public Layer {
   Conv2D(std::int64_t in_channels, std::int64_t out_channels, std::int64_t k,
          std::int64_t stride, std::int64_t pad, Rng& rng);
 
-  using Layer::forward;
-  using Layer::backward;
   void forward(const Tensor& in, Tensor& out, bool training,
                Workspace& ws) override;
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,

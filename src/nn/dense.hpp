@@ -10,8 +10,6 @@ class Dense final : public Layer {
  public:
   Dense(std::int64_t in_features, std::int64_t out_features, Rng& rng);
 
-  using Layer::forward;
-  using Layer::backward;
   void forward(const Tensor& in, Tensor& out, bool training,
                Workspace& ws) override;
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,

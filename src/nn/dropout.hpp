@@ -11,8 +11,6 @@ class Dropout final : public Layer {
     DNNSPMV_CHECK(rate >= 0.0 && rate < 1.0);
   }
 
-  using Layer::forward;
-  using Layer::backward;
   void forward(const Tensor& in, Tensor& out, bool training,
                Workspace& ws) override;
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,

@@ -7,8 +7,6 @@ namespace dnnspmv {
 
 class Flatten final : public Layer {
  public:
-  using Layer::forward;
-  using Layer::backward;
   void forward(const Tensor& in, Tensor& out, bool training,
                Workspace& ws) override;
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,

@@ -2,11 +2,6 @@
 
 namespace dnnspmv {
 
-Workspace& Layer::scratch() {
-  if (!scratch_) scratch_ = std::make_unique<Workspace>();
-  return *scratch_;
-}
-
 void Layer::backward_params(const Tensor& in, const Tensor& out,
                             const Tensor& grad_out, Workspace& ws) {
   Tensor discarded;

@@ -9,14 +9,12 @@
 // towers while retraining the head (paper §6.2).
 //
 // Scratch memory (conv's im2col matrices, GEMM staging) comes from a
-// Workspace threaded through forward/backward, so repeated passes reuse the
-// same buffers instead of allocating. Containers (Sequential, MergeNet)
-// pass one workspace down their whole stack; the three/four-argument
-// convenience overloads fall back to a workspace owned by the layer itself.
+// Workspace the caller threads through forward/backward, so repeated passes
+// reuse the same buffers instead of allocating. Containers (Sequential,
+// MergeNet) pass one workspace down their whole stack; layers own none.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,14 +32,7 @@ struct Param {
 
 class Layer {
  public:
-  Layer() = default;
   virtual ~Layer() = default;
-  // The fallback workspace is per-instance scratch, not state: copies
-  // start with a fresh (lazily created) one, moves carry it along.
-  Layer(const Layer&) {}
-  Layer& operator=(const Layer&) { return *this; }
-  Layer(Layer&&) = default;
-  Layer& operator=(Layer&&) = default;
 
   /// Computes out from in. `training` toggles train-only behaviour
   /// (dropout); `ws` supplies scratch buffers reused across calls.
@@ -60,16 +51,6 @@ class Layer {
   virtual void backward_params(const Tensor& in, const Tensor& out,
                                const Tensor& grad_out, Workspace& ws);
 
-  /// Convenience overloads using this layer's own fallback workspace.
-  /// (Derived classes re-expose them with `using Layer::forward;`.)
-  void forward(const Tensor& in, Tensor& out, bool training) {
-    forward(in, out, training, scratch());
-  }
-  void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,
-                Tensor& grad_in) {
-    backward(in, out, grad_out, grad_in, scratch());
-  }
-
   virtual std::vector<Param*> params() { return {}; }
 
   virtual std::string name() const = 0;
@@ -77,12 +58,6 @@ class Layer {
   /// Shape of the output batch given the input batch shape.
   virtual std::vector<std::int64_t> output_shape(
       const std::vector<std::int64_t>& in) const = 0;
-
-  /// Lazily created workspace for callers that don't thread one through.
-  Workspace& scratch();
-
- private:
-  std::unique_ptr<Workspace> scratch_;
 };
 
 /// Zeroes the gradients of every parameter in `ps`.

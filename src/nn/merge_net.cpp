@@ -41,30 +41,23 @@ Sequential& MergeNet::add_head() {
   return *heads_.back();
 }
 
-void MergeNet::flatten_tower_outputs(Tensor& merged) {
-  const std::int64_t batch = tower_out_[0].dim(0);
+void concat_tower_outputs(const std::vector<Tensor>& tower_out,
+                          Tensor& merged) {
+  const std::int64_t batch = tower_out[0].dim(0);
   std::int64_t total = 0;
-  std::vector<std::int64_t> feat(towers_.size());
-  for (std::size_t t = 0; t < towers_.size(); ++t) {
-    DNNSPMV_CHECK_MSG(tower_out_[t].dim(0) == batch,
-                      "tower batch mismatch");
-    feat[t] = tower_out_[t].size() / batch;
-    total += feat[t];
+  for (const Tensor& t : tower_out) {
+    DNNSPMV_CHECK_MSG(t.dim(0) == batch, "tower batch mismatch");
+    total += t.size() / batch;
   }
-  merged.ensure({batch, total});
-  for (std::int64_t b = 0; b < batch; ++b) {
-    float* dst = merged.data() + b * total;
-    for (std::size_t t = 0; t < towers_.size(); ++t) {
-      const float* src = tower_out_[t].data() + b * feat[t];
-      std::copy(src, src + feat[t], dst);
-      dst += feat[t];
-    }
+  merged.ensure2(batch, total);
+  std::int64_t off = 0;
+  for (const Tensor& t : tower_out) {
+    const std::int64_t feat = t.size() / batch;
+    for (std::int64_t b = 0; b < batch; ++b)
+      std::copy(t.data() + b * feat, t.data() + (b + 1) * feat,
+                merged.data() + b * total + off);
+    off += feat;
   }
-}
-
-void MergeNet::forward(const std::vector<Tensor>& inputs, Tensor& logits,
-                       bool training, std::size_t head) {
-  forward(inputs, logits, training, ws_, head);
 }
 
 void MergeNet::forward(const std::vector<Tensor>& inputs, Tensor& logits,
@@ -78,7 +71,7 @@ void MergeNet::forward(const std::vector<Tensor>& inputs, Tensor& logits,
   tower_out_.resize(towers_.size());
   for (std::size_t t = 0; t < towers_.size(); ++t)
     towers_[t]->forward(inputs[t], tower_out_[t], training, ws);
-  flatten_tower_outputs(merged_);
+  concat_tower_outputs(tower_out_, merged_);
   head_run_ = head;
   heads_[head]->forward(merged_, head_out_, training, ws);
   logits = head_out_;
@@ -101,11 +94,6 @@ void MergeNet::forward_codes(const Tensor& codes,
   head_run_ = head;
   heads_[head]->forward(merged_, head_out_, training, ws);
   logits = head_out_;
-}
-
-void MergeNet::backward(const std::vector<Tensor>& inputs,
-                        const Tensor& grad_logits) {
-  backward(inputs, grad_logits, ws_);
 }
 
 void MergeNet::backward(const std::vector<Tensor>& inputs,
@@ -164,17 +152,13 @@ void MergeNet::unfreeze_all() {
   for (auto& h : heads_) h->set_frozen(false);
 }
 
-void MergeNet::codes(const std::vector<Tensor>& inputs, Tensor& out) {
-  codes(inputs, out, ws_);
-}
-
 void MergeNet::codes(const std::vector<Tensor>& inputs, Tensor& out,
                      Workspace& ws, bool training) {
   DNNSPMV_CHECK(inputs.size() == towers_.size());
   tower_out_.resize(towers_.size());
   for (std::size_t t = 0; t < towers_.size(); ++t)
     towers_[t]->forward(inputs[t], tower_out_[t], training, ws);
-  flatten_tower_outputs(out);
+  concat_tower_outputs(tower_out_, out);
 }
 
 }  // namespace dnnspmv

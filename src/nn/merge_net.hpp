@@ -15,8 +15,10 @@
 // label distribution, extra heads over the same towers answer other label
 // sets (FormatSelector's SpMM head) without a second set of towers.
 //
+// Scratch: every pass takes the caller's Workspace; the net owns none.
+//
 // Thread safety: the forward passes, backward() and codes() share mutable
-// per-forward scratch (tower_out_, merged_, head_out_ and the Sequential
+// per-forward state (tower_out_, merged_, head_out_ and the Sequential
 // activation caches), so a MergeNet instance is NOT re-entrant — concurrent
 // callers must serialize. FormatSelector holds the inference mutex that
 // makes its predict paths safe (selector.hpp); anything driving a MergeNet
@@ -51,11 +53,8 @@ class MergeNet {
 
   /// Forward pass over a batch through head `head`; inputs[i] feeds tower
   /// i. All inputs must share the same batch dimension. Returns logits
-  /// [batch, classes]. The Workspace overloads let callers (trainer, serve
-  /// workers) supply their own scratch; the plain ones fall back to a
-  /// net-owned workspace.
-  void forward(const std::vector<Tensor>& inputs, Tensor& logits,
-               bool training, std::size_t head = 0);
+  /// [batch, classes]. `ws` is the caller's scratch (the trainer keeps one
+  /// per run, the selector one beside its inference lock).
   void forward(const std::vector<Tensor>& inputs, Tensor& logits,
                bool training, Workspace& ws, std::size_t head = 0);
 
@@ -71,7 +70,6 @@ class MergeNet {
   /// parameter gradients accumulate. When every tower parameter is frozen,
   /// only the head runs backward and the towers' gradients stay untouched.
   /// No layer builds a gradient for the network's inputs.
-  void backward(const std::vector<Tensor>& inputs, const Tensor& grad_logits);
   void backward(const std::vector<Tensor>& inputs, const Tensor& grad_logits,
                 Workspace& ws);
 
@@ -91,13 +89,10 @@ class MergeNet {
   /// The concatenated flattened tower outputs for a batch ("CNN codes").
   /// `training` runs the towers' training forward, the one forward() runs
   /// in training.
-  void codes(const std::vector<Tensor>& inputs, Tensor& out);
   void codes(const std::vector<Tensor>& inputs, Tensor& out, Workspace& ws,
              bool training = false);
 
  private:
-  void flatten_tower_outputs(Tensor& merged);
-
   std::vector<std::unique_ptr<Sequential>> towers_;
   std::vector<std::unique_ptr<Sequential>> heads_;
   // Cached per-forward state for backward.
@@ -105,7 +100,11 @@ class MergeNet {
   Tensor merged_;
   Tensor head_out_;
   std::size_t head_run_ = 0;  // head of the last forward
-  Workspace ws_;  // fallback scratch for the workspace-less overloads
 };
+
+/// Concatenates the flattened tower outputs per sample into `merged`
+/// [batch, Σ features]: the "CNN codes" every head reads, fp32 or int8.
+void concat_tower_outputs(const std::vector<Tensor>& tower_out,
+                          Tensor& merged);
 
 }  // namespace dnnspmv

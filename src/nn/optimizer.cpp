@@ -4,40 +4,13 @@
 
 namespace dnnspmv {
 
-SgdMomentum::SgdMomentum(std::vector<Param*> params, double lr,
-                         double momentum, double weight_decay)
-    : Optimizer(std::move(params)),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  lr_ = lr;
-  velocity_.reserve(params_.size());
-  for (Param* p : params_) velocity_.emplace_back(p->value.shape());
-}
-
-void SgdMomentum::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Param& p = *params_[i];
-    if (p.frozen) {
-      p.grad.zero();
-      continue;
-    }
-    Tensor& vel = velocity_[i];
-    const float lr = static_cast<float>(lr_);
-    const float mom = static_cast<float>(momentum_);
-    const float wd = static_cast<float>(weight_decay_);
-    for (std::int64_t j = 0; j < p.value.size(); ++j) {
-      const float g = p.grad[j] + wd * p.value[j];
-      vel[j] = mom * vel[j] - lr * g;
-      p.value[j] += vel[j];
-    }
-    p.grad.zero();
-  }
-}
-
 Adam::Adam(std::vector<Param*> params, double lr, double beta1, double beta2,
            double eps)
-    : Optimizer(std::move(params)), beta1_(beta1), beta2_(beta2), eps_(eps) {
-  lr_ = lr;
+    : params_(std::move(params)),
+      lr_(lr),
+      beta1_(beta1),
+      beta2_(beta2),
+      eps_(eps) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (Param* p : params_) {

@@ -1,5 +1,6 @@
-// Gradient-descent optimizers. Frozen parameters are skipped, which is how
-// "top evolvement" transfer learning restricts training to the head.
+// Adam, the one optimizer the trainer runs. Frozen parameters are skipped,
+// which is how "top evolvement" transfer learning restricts training to
+// the head.
 #pragma once
 
 #include <vector>
@@ -8,41 +9,20 @@
 
 namespace dnnspmv {
 
-class Optimizer {
+class Adam {
  public:
-  explicit Optimizer(std::vector<Param*> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Param*> params, double lr, double beta1 = 0.9,
+       double beta2 = 0.999, double eps = 1e-8);
 
   /// Applies one update from the accumulated gradients, then zeroes them.
-  virtual void step() = 0;
+  void step();
 
   void set_lr(double lr) { lr_ = lr; }
   double lr() const { return lr_; }
 
- protected:
+ private:
   std::vector<Param*> params_;
-  double lr_ = 1e-3;
-};
-
-class SgdMomentum final : public Optimizer {
- public:
-  SgdMomentum(std::vector<Param*> params, double lr, double momentum = 0.9,
-              double weight_decay = 0.0);
-  void step() override;
-
- private:
-  double momentum_, weight_decay_;
-  std::vector<Tensor> velocity_;
-};
-
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Param*> params, double lr, double beta1 = 0.9,
-       double beta2 = 0.999, double eps = 1e-8);
-  void step() override;
-
- private:
+  double lr_;
   double beta1_, beta2_, eps_;
   std::int64_t t_ = 0;
   std::vector<Tensor> m_, v_;

@@ -12,8 +12,6 @@ class MaxPool2D final : public Layer {
     DNNSPMV_CHECK(k_ > 0 && stride_ > 0);
   }
 
-  using Layer::forward;
-  using Layer::backward;
   void forward(const Tensor& in, Tensor& out, bool training,
                Workspace& ws) override;
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,

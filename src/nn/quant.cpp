@@ -185,20 +185,7 @@ QuantizedWeightSet quantize_merge_net(
     for (std::int32_t t = 0; t < ntowers; ++t)
       walk_seq(net.tower(static_cast<std::size_t>(t)), t, towers, batch[t],
                touts[static_cast<std::size_t>(t)]);
-    // Concatenate the flattened tower outputs exactly like
-    // MergeNet::flatten_tower_outputs.
-    const std::int64_t nb = batch[0].dim(0);
-    std::int64_t feat = 0;
-    for (const Tensor& to : touts) feat += to.size() / nb;
-    merged.ensure2(nb, feat);
-    std::int64_t off = 0;
-    for (const Tensor& to : touts) {
-      const std::int64_t f = to.size() / nb;
-      for (std::int64_t s = 0; s < nb; ++s)
-        std::memcpy(merged.data() + s * feat + off, to.data() + s * f,
-                    static_cast<std::size_t>(f) * sizeof(float));
-      off += f;
-    }
+    concat_tower_outputs(touts, merged);
     Tensor head_out;
     for (std::size_t h = 0; h < net.num_heads(); ++h)
       if (selected(h))
@@ -394,13 +381,13 @@ void QuantizedMergeNet::run_dense(Op& op, const Tensor& in, Tensor& out) {
 }
 
 void QuantizedMergeNet::run(std::vector<Op>& plan, const Tensor& in,
-                            Tensor& out) {
+                            Tensor& out, Workspace& ws) {
   const Tensor* cur = &in;
   for (Op& op : plan) {
     Tensor& dst = (cur == &ping_) ? pong_ : ping_;
     switch (op.kind) {
       case Op::Kind::kLayer:
-        op.layer->forward(*cur, dst, /*training=*/false, ws_);
+        op.layer->forward(*cur, dst, /*training=*/false, ws);
         break;
       case Op::Kind::kConv:
         run_conv(op, *cur, dst);
@@ -415,7 +402,8 @@ void QuantizedMergeNet::run(std::vector<Op>& plan, const Tensor& in,
 }
 
 void QuantizedMergeNet::forward(const std::vector<Tensor>& inputs,
-                                Tensor& logits, std::size_t head) {
+                                Tensor& logits, Workspace& ws,
+                                std::size_t head) {
   DNNSPMV_CHECK_ERRC(inputs.size() == tower_plans_.size(),
                      errc::invalid_argument,
                      "expected " << tower_plans_.size() << " inputs, got "
@@ -423,20 +411,9 @@ void QuantizedMergeNet::forward(const std::vector<Tensor>& inputs,
   DNNSPMV_CHECK_ERRC(head < head_plans_.size(), errc::invalid_argument,
                      "head " << head << " of " << head_plans_.size());
   for (std::size_t t = 0; t < tower_plans_.size(); ++t)
-    run(tower_plans_[t], inputs[t], tower_out_[t]);
-  const std::int64_t batch = inputs[0].dim(0);
-  std::int64_t feat = 0;
-  for (const Tensor& to : tower_out_) feat += to.size() / batch;
-  merged_.ensure2(batch, feat);
-  std::int64_t off = 0;
-  for (const Tensor& to : tower_out_) {
-    const std::int64_t f = to.size() / batch;
-    for (std::int64_t s = 0; s < batch; ++s)
-      std::memcpy(merged_.data() + s * feat + off, to.data() + s * f,
-                  static_cast<std::size_t>(f) * sizeof(float));
-    off += f;
-  }
-  run(head_plans_[head], merged_, logits);
+    run(tower_plans_[t], inputs[t], tower_out_[t], ws);
+  concat_tower_outputs(tower_out_, merged_);
+  run(head_plans_[head], merged_, logits, ws);
 }
 
 }  // namespace dnnspmv

@@ -128,9 +128,10 @@ class QuantizedMergeNet {
   QuantizedMergeNet(MergeNet& net, const QuantizedWeightSet& qws);
 
   /// Quantized forward through head `head`: inputs[i] feeds tower i,
-  /// logits [batch, classes].
+  /// logits [batch, classes]. `ws` is the caller's scratch for the layers
+  /// that stay fp32 (pool, flatten).
   void forward(const std::vector<Tensor>& inputs, Tensor& logits,
-               std::size_t head = 0);
+               Workspace& ws, std::size_t head = 0);
 
  private:
   struct Op {
@@ -149,14 +150,14 @@ class QuantizedMergeNet {
 
   void compile(Sequential& seq, std::int32_t seq_id,
                const QuantizedWeightSet& qws, std::vector<Op>& plan);
-  void run(std::vector<Op>& plan, const Tensor& in, Tensor& out);
+  void run(std::vector<Op>& plan, const Tensor& in, Tensor& out,
+           Workspace& ws);
   void run_conv(Op& op, const Tensor& in, Tensor& out);
   void run_dense(Op& op, const Tensor& in, Tensor& out);
 
   MergeNet* net_;
   std::vector<std::vector<Op>> tower_plans_;
   std::vector<std::vector<Op>> head_plans_;
-  Workspace ws_;                    // scratch for the fp32 passthrough ops
   Tensor ping_, pong_, merged_;     // inter-layer activations
   std::vector<Tensor> tower_out_;
   std::vector<std::uint8_t> qin_, qcol_;  // quantized input / col matrix

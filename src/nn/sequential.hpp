@@ -29,8 +29,6 @@ class Sequential final : public Layer {
   std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i); }
 
-  using Layer::forward;
-  using Layer::backward;
   void forward(const Tensor& in, Tensor& out, bool training,
                Workspace& ws) override;
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,

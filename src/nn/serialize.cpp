@@ -33,6 +33,8 @@ void load_params(std::istream& is, const std::vector<Param*>& params) {
   for (Param* p : params) {
     std::uint32_t rank = 0;
     read_pod(is, rank);
+    DNNSPMV_CHECK_MSG(rank == p->value.rank(),
+                      "rank mismatch loading param " << p->name);
     std::vector<std::int64_t> shape(rank);
     for (auto& d : shape) read_pod(is, d);
     DNNSPMV_CHECK_MSG(shape == p->value.shape(),

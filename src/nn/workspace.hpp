@@ -5,8 +5,8 @@
 // so steady-state inference — the serve tier's cache-miss path — performs
 // zero heap allocation once shapes have been seen. A Workspace is NOT
 // thread-safe: use one per thread (the serve batcher keeps one per worker,
-// the trainer one per training loop, and every Layer owns a lazily created
-// fallback for callers that don't thread one through).
+// the trainer one per training loop, and FormatSelector one under its
+// inference lock for callers that pass none). Layers own none.
 //
 // Since the streaming-representation refactor, Workspace is a thin float
 // view over the general TensorArena (src/tensor/arena.hpp) — the same

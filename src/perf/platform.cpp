@@ -342,6 +342,12 @@ std::unique_ptr<Platform> make_measured(std::vector<Format> formats,
   return std::make_unique<Measured>(std::move(formats), reps);
 }
 
+std::vector<double> measure_format_times(const Csr& a,
+                                         const std::vector<Format>& formats,
+                                         int reps) {
+  return make_measured(formats, reps)->spmv_times(a);
+}
+
 std::vector<double> measure_spmm_times(const Csr& a,
                                        const std::vector<Format>& formats,
                                        index_t k, int reps) {

@@ -67,6 +67,15 @@ std::unique_ptr<Platform> make_analytic_gpu(const MachineParams& p);
 std::unique_ptr<Platform> make_measured(std::vector<Format> formats,
                                         int reps = 5);
 
+/// Seconds per SpMV for each format in `formats` order, measured on the
+/// host's real kernels (+inf where the format refuses `a`):
+/// make_measured(formats, reps)->spmv_times(a). The online loop's default
+/// feedback probe, so feedback labels and offline measured labels share
+/// one code path.
+std::vector<double> measure_format_times(const Csr& a,
+                                         const std::vector<Format>& formats,
+                                         int reps = 3);
+
 /// Seconds per SpMM (Y[rows×k] = A·X) for each format, measured on the
 /// host's real kernels (+inf where conversion refuses the matrix). SpMM has
 /// no analytic model: the op exists to be *measured*, because its winners

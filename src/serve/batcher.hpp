@@ -34,10 +34,10 @@
 
 #include <memory>
 
+#include "core/lru_cache.hpp"
 #include "core/model_registry.hpp"
 #include "core/selector.hpp"
 #include "serve/fault.hpp"
-#include "serve/lru_cache.hpp"
 #include "serve/metrics.hpp"
 #include "serve/rep_pool.hpp"
 #include "serve/request_queue.hpp"

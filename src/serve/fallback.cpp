@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "ml/features.hpp"
-#include "perf/labels.hpp"
 
 namespace dnnspmv {
 
@@ -12,27 +10,6 @@ FallbackSelector::FallbackSelector(std::vector<Format> candidates)
     : candidates_(std::move(candidates)) {
   DNNSPMV_CHECK_ERRC(!candidates_.empty(), errc::invalid_argument,
                      "FallbackSelector needs at least one candidate format");
-}
-
-FallbackSelector FallbackSelector::train(
-    const std::vector<LabeledMatrix>& labeled,
-    const std::vector<Format>& candidates, const DTreeConfig& cfg) {
-  FallbackSelector out(candidates);
-  DNNSPMV_CHECK_ERRC(!labeled.empty(), errc::invalid_argument,
-                     "FallbackSelector::train needs labelled matrices");
-  std::vector<std::vector<double>> x;
-  std::vector<std::int32_t> y;
-  x.reserve(labeled.size());
-  y.reserve(labeled.size());
-  for (const LabeledMatrix& lm : labeled) {
-    x.push_back(extract_features(*lm.matrix));
-    y.push_back(lm.label);
-  }
-  DTreeConfig tree_cfg = cfg;
-  if (tree_cfg.num_classes == 0)
-    tree_cfg.num_classes = static_cast<int>(candidates.size());
-  out.tree_.fit(x, y, tree_cfg);
-  return out;
 }
 
 std::int32_t FallbackSelector::index_or_default(Format f) const {
@@ -47,7 +24,7 @@ std::int32_t FallbackSelector::index_or_default(Format f) const {
   return idx < 0 ? 0 : idx;
 }
 
-std::int32_t FallbackSelector::rule_index(const MatrixStats& s) const {
+std::int32_t FallbackSelector::predict_index(const MatrixStats& s) const {
   // Classic structural folklore, cheapest-to-strongest signal first. The
   // thresholds are intentionally conservative: when no structure stands
   // out, CSR is the safe general-purpose answer.
@@ -63,18 +40,6 @@ std::int32_t FallbackSelector::rule_index(const MatrixStats& s) const {
     return index_or_default(Format::kCoo);
   }
   return index_or_default(Format::kCsr);
-}
-
-std::int32_t FallbackSelector::predict_index(const MatrixStats& s) const {
-  DNNSPMV_CHECK_ERRC(!candidates_.empty(), errc::not_trained,
-                     "FallbackSelector has no candidates");
-  if (tree_.trained()) {
-    const std::int32_t idx = tree_.predict(extract_features(s));
-    if (idx >= 0 && idx < static_cast<std::int32_t>(candidates_.size()))
-      return idx;
-    // A malformed tree answer degrades once more, to the rule tier.
-  }
-  return rule_index(s);
 }
 
 Format FallbackSelector::predict(const MatrixStats& s) const {

@@ -2,63 +2,43 @@
 //
 // Under overload the service stops paying for CNN inference on new misses
 // and answers from structural statistics instead (the load-shedding idea:
-// a cheap ML/heuristic fallback still captures most of the format-
-// selection win, and an answer now beats a better answer after the client
-// timed out — cf. Stylianou & Weiland, arXiv 2303.05098, and the paper's
-// own §6 argument that selection must stay cheap relative to SpMV).
+// a cheap heuristic fallback still captures most of the format-selection
+// win, and an answer now beats a better answer after the client timed
+// out — cf. Stylianou & Weiland, arXiv 2303.05098, and the paper's own §6
+// argument that selection must stay cheap relative to SpMV).
 //
-// Two tiers share one interface:
-//   * rule tier (always available) — hand rules over MatrixStats mirroring
-//     the classic format folklore: dense few-diagonal structure → DIA,
-//     uniform row lengths → ELL, heavy row imbalance → HYB/COO, else CSR;
-//   * tree tier (optional) — a CART DecisionTree over the same 16
-//     hand-crafted features as the paper's baseline (src/ml), trained via
-//     train() from the labelled corpus the CNN was trained on.
-//
-// predict_index costs O(#features) on stats the service has already
-// computed for the fingerprint, so a degraded answer does zero extra
-// passes over the matrix.
+// The answer comes from hand rules over MatrixStats mirroring the classic
+// format folklore: dense few-diagonal structure → DIA, uniform row lengths
+// → ELL, heavy row imbalance → HYB/COO, else CSR. predict_index costs
+// O(1) on stats the service has already computed for the fingerprint, so
+// a degraded answer does zero extra passes over the matrix.
 #pragma once
 
 #include <vector>
 
-#include "ml/dtree.hpp"
 #include "sparse/format.hpp"
 #include "sparse/stats.hpp"
 
 namespace dnnspmv {
 
-struct LabeledMatrix;  // perf/labels.hpp
-
 class FallbackSelector {
  public:
-  FallbackSelector() = default;
-
-  /// Rule-tier selector choosing among `candidates` (a service passes its
+  /// Selector choosing among `candidates` (a service passes its
   /// FormatSelector's candidate list, so indices line up with the CNN's).
   explicit FallbackSelector(std::vector<Format> candidates);
 
-  /// Tree-tier selector: fits a CART tree on extract_features(matrix) →
-  /// label over the same labelled corpus the CNN trains on.
-  static FallbackSelector train(const std::vector<LabeledMatrix>& labeled,
-                                const std::vector<Format>& candidates,
-                                const DTreeConfig& cfg = {});
-
-  /// Candidate index for a matrix with statistics `s`. Never throws on a
-  /// trained/constructed selector; always returns a valid index.
+  /// Candidate index for a matrix with statistics `s`. Never throws;
+  /// always returns a valid index.
   std::int32_t predict_index(const MatrixStats& s) const;
   Format predict(const MatrixStats& s) const;
 
-  bool has_tree() const { return tree_.trained(); }
   const std::vector<Format>& candidates() const { return candidates_; }
 
  private:
-  std::int32_t rule_index(const MatrixStats& s) const;
   /// Index of `f` in candidates_, or of kCsr, or 0 — always answerable.
   std::int32_t index_or_default(Format f) const;
 
   std::vector<Format> candidates_;
-  DecisionTree tree_;
 };
 
 }  // namespace dnnspmv

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "obs/trace.hpp"
+#include "perf/platform.hpp"
 #include "serve/affinity.hpp"
 #include "serve/fingerprint.hpp"
 #include "tensor/arena.hpp"
@@ -21,16 +22,6 @@ std::size_t shed_threshold_for(const ServiceOptions& opts) {
   const auto t = static_cast<std::size_t>(
       opts.shed_watermark * static_cast<double>(opts.queue_capacity));
   return std::max<std::size_t>(1, t);
-}
-
-FallbackSelector make_fallback(const ModelRegistry& registry,
-                               const ServiceOptions& opts) {
-  if (!opts.fallback) return FallbackSelector(registry.candidates());
-  DNNSPMV_CHECK_ERRC(opts.fallback->candidates() == registry.candidates(),
-                     errc::invalid_argument,
-                     "ServiceOptions::fallback was built for a different "
-                     "candidate list than the model registry's");
-  return *opts.fallback;
 }
 
 /// Ready future carrying `idx`; also consumes `done` on the success path.
@@ -54,7 +45,7 @@ SelectionService::SelectionService(ModelRegistry& registry,
       subscription_(registry_),
       opts_(std::move(opts)),
       rep_builder_(registry_.current()->rep_builder()),
-      fallback_(make_fallback(registry_, opts_)),
+      fallback_(registry_.candidates()),
       shed_threshold_(shed_threshold_for(opts_)),
       injector_(opts_.injector ? opts_.injector : &fault::Injector::global()),
       feedback_probe_(opts_.feedback_probe),
@@ -110,7 +101,7 @@ std::future<std::int32_t> SelectionService::answer_degraded(
   // Degraded answers are deliberately NOT cached: the fallback's pick may
   // differ from the CNN's, and a cached heuristic answer would keep being
   // served after the overload has passed. Repeats of the same matrix under
-  // sustained overload re-run the fallback, which is O(#features).
+  // sustained overload re-run the fallback, a few compares on the stats.
   const std::int32_t idx = fallback_.predict_index(st);
   metrics_.record_degraded(by_watermark);
   return ready_future(idx, AnswerSource::kDegraded, done);

@@ -33,7 +33,7 @@
 //   * Load shedding — when queue occupancy crosses
 //     shed_watermark × queue_capacity, new misses skip representation
 //     building and the CNN entirely and are answered by the
-//     FallbackSelector (a stats-features heuristic / decision tree, see
+//     FallbackSelector (hand rules over the matrix stats, see
 //     serve/fallback.hpp). Clients get a slightly weaker prediction now
 //     instead of blocking; the `degraded`/`shed` counters record it.
 //   * Bounded retry — a transiently full queue is retried push_retries
@@ -92,12 +92,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/feedback.hpp"
 #include "core/model_registry.hpp"
 #include "core/selector.hpp"
 #include "serve/batcher.hpp"
 #include "serve/fallback.hpp"
 #include "serve/fault.hpp"
-#include "serve/feedback.hpp"
 #include "serve/rep_pool.hpp"
 
 namespace dnnspmv {
@@ -128,11 +128,6 @@ struct ServiceOptions {
   double shed_watermark = 0.9;
   int push_retries = 3;
   std::int64_t push_backoff_us = 50;
-  // Degraded-path selector; unset → rule-tier fallback over the
-  // selector's candidates. A trained one (FallbackSelector::train) must
-  // use the same candidate list as the FormatSelector.
-  std::optional<FallbackSelector> fallback;
-
   // Online-learning feedback (null = no feedback). When set, a sampled
   // fraction of cache misses that carry a matrix (feedback->offer()
   // decides) is probed for per-format measured SpMV times and published

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-
 namespace dnnspmv {
 namespace {
 
@@ -25,29 +23,6 @@ Dataset make_dataset() {
     ds.samples.push_back(std::move(s));
   }
   return ds;
-}
-
-TEST(DatasetIo, SaveLoadRoundTrip) {
-  const Dataset ds = make_dataset();
-  const std::string path = ::testing::TempDir() + "/ds_rt.bin";
-  ds.save(path);
-  const Dataset back = Dataset::load(path);
-  ASSERT_EQ(back.candidates, ds.candidates);
-  ASSERT_EQ(back.size(), ds.size());
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    const Sample& a = ds.samples[i];
-    const Sample& b = back.samples[i];
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.gen_class, b.gen_class);
-    EXPECT_EQ(a.features, b.features);
-    EXPECT_EQ(a.format_times, b.format_times);
-    ASSERT_EQ(a.inputs.size(), b.inputs.size());
-    for (std::size_t s = 0; s < a.inputs.size(); ++s) {
-      ASSERT_EQ(a.inputs[s].shape(), b.inputs[s].shape());
-      for (std::int64_t j = 0; j < a.inputs[s].size(); ++j)
-        EXPECT_EQ(a.inputs[s][j], b.inputs[s][j]);
-    }
-  }
 }
 
 TEST(DatasetIo, LabelHistogram) {
@@ -73,19 +48,6 @@ TEST(DatasetIo, SubsetRejectsBadIndex) {
   const Dataset ds = make_dataset();
   EXPECT_THROW(ds.subset({5}), std::runtime_error);
   EXPECT_THROW(ds.subset({-1}), std::runtime_error);
-}
-
-TEST(DatasetIo, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/ds_bad.bin";
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "this is not a dataset";
-  }
-  EXPECT_THROW(Dataset::load(path), std::runtime_error);
-}
-
-TEST(DatasetIo, LoadRejectsMissingFile) {
-  EXPECT_THROW(Dataset::load("/nonexistent/ds.bin"), std::runtime_error);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,17 @@ double density_of(const Csr& a) {
 
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST(DlmcGen, RandomPruningHitsTargetDensity) {
@@ -161,6 +173,54 @@ TEST(DlmcGen, LoadRejectsMissingAndCorruptFiles) {
   EXPECT_FALSE(load_corpus(truncated, &out));
   EXPECT_TRUE(out.empty());
   std::remove(truncated.c_str());
+}
+
+TEST(DlmcGen, LoadRejectsCountsTheFileCannotHold) {
+  DlmcSpec spec;
+  spec.count = 2;
+  spec.min_dim = 64;
+  spec.max_dim = 96;
+  const std::string path = temp_path("dlmc_counts.bin");
+  ASSERT_TRUE(save_corpus(path, build_dlmc_corpus(spec)));
+  const std::string bytes = read_bytes(path);
+  // The entry count follows the 8-byte magic and the 4-byte version; the
+  // first entry's nnz follows the 20-byte file header and its class, rows
+  // and cols. A count this large must fail the load, not the allocator.
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  for (const std::size_t offset : {std::size_t{12}, std::size_t{32}}) {
+    std::string corrupt = bytes;
+    std::memcpy(corrupt.data() + offset, &huge, sizeof(huge));
+    write_bytes(path, corrupt);
+    std::vector<CorpusEntry> out;
+    EXPECT_FALSE(load_corpus(path, &out)) << "count at byte " << offset;
+    EXPECT_TRUE(out.empty());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DlmcGen, LoadRejectsMatricesThatFailValidation) {
+  // save_corpus writes what it is given; load must not hand a matrix that
+  // indexes out of bounds to the kernels.
+  Csr decreasing_ptr;
+  decreasing_ptr.rows = 3;
+  decreasing_ptr.cols = 3;
+  decreasing_ptr.ptr = {0, 2, 1, 2};
+  decreasing_ptr.idx = {0, 1};
+  decreasing_ptr.val = {1.0, 1.0};
+  Csr column_out_of_range;
+  column_out_of_range.rows = 2;
+  column_out_of_range.cols = 2;
+  column_out_of_range.ptr = {0, 1, 2};
+  column_out_of_range.idx = {0, 5};
+  column_out_of_range.val = {1.0, 1.0};
+  const std::string path = temp_path("dlmc_invalid.bin");
+  for (const Csr& bad : {decreasing_ptr, column_out_of_range}) {
+    ASSERT_TRUE(save_corpus(path, {{bad, GenClass::kPrunedRandom}}));
+    std::vector<CorpusEntry> out;
+    EXPECT_FALSE(load_corpus(path, &out));
+    EXPECT_TRUE(out.empty());
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

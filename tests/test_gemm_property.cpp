@@ -261,8 +261,9 @@ TEST(ConvBatchStability, BatchedForwardEqualsPerSampleBitwise) {
   Tensor in({N, C, H, W});
   in.fill_uniform(rng, -1.0f, 1.0f);
 
+  Workspace ws;
   Tensor batched;
-  conv.forward(in, batched, false);
+  conv.forward(in, batched, false, ws);
 
   const auto out_shape = conv.output_shape({1, C, H, W});
   Tensor one({1, C, H, W}), out_one;
@@ -270,7 +271,7 @@ TEST(ConvBatchStability, BatchedForwardEqualsPerSampleBitwise) {
   for (std::int64_t s = 0; s < N; ++s) {
     std::memcpy(one.data(), in.data() + s * isz,
                 static_cast<std::size_t>(isz) * sizeof(float));
-    conv.forward(one, out_one, false);
+    conv.forward(one, out_one, false, ws);
     ASSERT_EQ(out_one.size(), batched.size() / N);
     const float* bslice = batched.data() + s * out_one.size();
     for (std::int64_t i = 0; i < out_one.size(); ++i)
@@ -402,9 +403,10 @@ TEST(ConvBatchStability, RepeatForwardIsIdempotent) {
   Tensor in({4, 2, 8, 8});
   in.fill_uniform(rng, -1.0f, 1.0f);
 
+  Workspace ws;
   Tensor out1, out2;
-  conv.forward(in, out1, false);
-  conv.forward(in, out2, false);
+  conv.forward(in, out1, false, ws);
+  conv.forward(in, out2, false, ws);
   ASSERT_EQ(out1.size(), out2.size());
   for (std::int64_t i = 0; i < out1.size(); ++i)
     ASSERT_EQ(out1[i], out2[i]);

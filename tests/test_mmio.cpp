@@ -102,6 +102,22 @@ TEST(Mmio, RejectsTruncatedData) {
   EXPECT_THROW(read_matrix_market(is), std::runtime_error);
 }
 
+TEST(Mmio, HeaderCountsSizeNothing) {
+  // A header claiming 10^12 entries fails as truncated data, not in the
+  // allocator; dimensions beyond the index type fail at the size line.
+  for (const char* size_line : {"2 2 1000000000000", "3000000000 2 1"}) {
+    std::istringstream is(
+        std::string("%%MatrixMarket matrix coordinate real general\n") +
+        size_line + "\n1 1 1.0\n");
+    try {
+      read_matrix_market(is);
+      ADD_FAILURE() << size_line << " parsed";
+    } catch (const DnnspmvError& e) {
+      EXPECT_EQ(e.code(), errc::parse_error) << size_line;
+    }
+  }
+}
+
 TEST(Mmio, ParseErrorsCarryLineAndFileContext) {
   // Bad entry on line 3 of the stream → typed parse_error naming the line.
   std::istringstream is(

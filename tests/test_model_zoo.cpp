@@ -37,8 +37,9 @@ TEST(ModelZoo, EarlyMergeRejectsMismatchedShapes) {
 TEST(ModelZoo, LogitShapeMatchesClasses) {
   MergeNet net = build_cnn(hist_spec());
   std::vector<Tensor> inputs(2, Tensor({3, 1, 32, 16}));
+  Workspace ws;
   Tensor logits;
-  net.forward(inputs, logits, false);
+  net.forward(inputs, logits, false, ws);
   EXPECT_EQ(logits.shape(), (std::vector<std::int64_t>{3, 4}));
 }
 
@@ -49,8 +50,9 @@ TEST(ModelZoo, EarlyMergeForwardWorks) {
   s.late_merge = false;
   MergeNet net = build_cnn(s);
   std::vector<Tensor> inputs(1, Tensor({2, 2, 16, 16}));
+  Workspace ws;
   Tensor logits;
-  net.forward(inputs, logits, false);
+  net.forward(inputs, logits, false, ws);
   EXPECT_EQ(logits.shape(), (std::vector<std::int64_t>{2, 6}));
 }
 
@@ -102,13 +104,14 @@ TEST(ModelZoo, CodesAreConcatenatedTowerOutputs) {
   Rng rng(3);
   inputs[0].fill_uniform(rng, 0.0f, 1.0f);
   inputs[1].fill_uniform(rng, 0.0f, 1.0f);
+  Workspace ws;
   Tensor codes;
-  net.codes(inputs, codes);
+  net.codes(inputs, codes, ws);
   EXPECT_EQ(codes.dim(0), 2);
   EXPECT_GT(codes.dim(1), 0);
   // Codes are deterministic for fixed inputs.
   Tensor codes2;
-  net.codes(inputs, codes2);
+  net.codes(inputs, codes2, ws);
   for (std::int64_t i = 0; i < codes.size(); ++i)
     EXPECT_EQ(codes[i], codes2[i]);
 }

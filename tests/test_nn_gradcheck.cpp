@@ -42,15 +42,16 @@ void check_layer(Layer& layer, Tensor in, int max_checks = 40,
                  int kink_budget = 0) {
   int bad = 0;
   Rng rng(1234);
+  Workspace ws;
   Tensor out;
-  layer.forward(in, out, /*training=*/false);
+  layer.forward(in, out, /*training=*/false, ws);
   Tensor w(out.shape());
   w.fill_uniform(rng, -1.0f, 1.0f);
 
   // Backprop gradients.
   zero_grads(layer.params());
   Tensor grad_in;
-  layer.backward(in, out, w, grad_in);
+  layer.backward(in, out, w, grad_in, ws);
 
   // Input gradient check.
   const std::int64_t stride_in = std::max<std::int64_t>(1, in.size() / max_checks);
@@ -58,10 +59,10 @@ void check_layer(Layer& layer, Tensor in, int max_checks = 40,
     const float orig = in[i];
     in[i] = orig + kEps;
     Tensor op;
-    layer.forward(in, op, false);
+    layer.forward(in, op, false, ws);
     const double fp = weighted_sum(op, w);
     in[i] = orig - kEps;
-    layer.forward(in, op, false);
+    layer.forward(in, op, false, ws);
     const double fm = weighted_sum(op, w);
     in[i] = orig;
     const double num = (fp - fm) / (2.0 * kEps);
@@ -73,7 +74,7 @@ void check_layer(Layer& layer, Tensor in, int max_checks = 40,
     }
   }
   // Restore forward state for the parameter loop below.
-  layer.forward(in, out, false);
+  layer.forward(in, out, false, ws);
 
   // Parameter gradient check.
   for (Param* p : layer.params()) {
@@ -83,10 +84,10 @@ void check_layer(Layer& layer, Tensor in, int max_checks = 40,
       const float orig = p->value[i];
       p->value[i] = orig + kEps;
       Tensor op;
-      layer.forward(in, op, false);
+      layer.forward(in, op, false, ws);
       const double fp = weighted_sum(op, w);
       p->value[i] = orig - kEps;
-      layer.forward(in, op, false);
+      layer.forward(in, op, false, ws);
       const double fm = weighted_sum(op, w);
       p->value[i] = orig;
       const double num = (fp - fm) / (2.0 * kEps);
@@ -207,18 +208,19 @@ TEST(GradCheck, FullLateMergeNetwork) {
   inputs[1].fill_uniform(rng, 0.05f, 1.0f);
   const std::vector<std::int32_t> labels = {0, 1, 2};
 
+  Workspace ws;
   auto loss_fn = [&]() {
     Tensor logits, g;
-    net.forward(inputs, logits, false);
+    net.forward(inputs, logits, false, ws);
     return softmax_cross_entropy(logits, labels, g);
   };
 
   Tensor logits;
-  net.forward(inputs, logits, false);
+  net.forward(inputs, logits, false, ws);
   Tensor grad;
   softmax_cross_entropy(logits, labels, grad);
   zero_grads(net.params());
-  net.backward(inputs, grad);
+  net.backward(inputs, grad, ws);
 
   int bad = 0;
   for (Param* p : net.params()) {

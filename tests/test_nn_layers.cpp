@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "nn/activation.hpp"
@@ -44,8 +45,9 @@ TEST(Conv2D, KnownConvolutionValue) {
   c.params()[1]->value.fill(0.5f);  // bias
   Tensor in({1, 1, 3, 3});
   in.fill(1.0f);
+  Workspace ws;
   Tensor out;
-  c.forward(in, out, false);
+  c.forward(in, out, false, ws);
   ASSERT_EQ(out.size(), 1);
   EXPECT_FLOAT_EQ(out[0], 9.5f);
 }
@@ -55,8 +57,9 @@ TEST(MaxPool, PicksBlockMaxima) {
   Tensor in({1, 1, 2, 4});
   const float vals[8] = {1, 5, 2, 0, 3, -1, 9, 4};
   for (int i = 0; i < 8; ++i) in[i] = vals[i];
+  Workspace ws;
   Tensor out;
-  p.forward(in, out, false);
+  p.forward(in, out, false, ws);
   ASSERT_EQ(out.size(), 2);
   EXPECT_FLOAT_EQ(out[0], 5.0f);
   EXPECT_FLOAT_EQ(out[1], 9.0f);
@@ -69,11 +72,12 @@ TEST(MaxPool, BackwardRoutesToArgmaxOnly) {
   in[1] = 4;
   in[2] = 2;
   in[3] = 3;
+  Workspace ws;
   Tensor out, gin;
-  p.forward(in, out, false);
+  p.forward(in, out, false, ws);
   Tensor gout({1, 1, 1, 1});
   gout[0] = 7.0f;
-  p.backward(in, out, gout, gin);
+  p.backward(in, out, gout, gin, ws);
   EXPECT_FLOAT_EQ(gin[0], 0.0f);
   EXPECT_FLOAT_EQ(gin[1], 7.0f);
   EXPECT_FLOAT_EQ(gin[2], 0.0f);
@@ -87,8 +91,9 @@ TEST(ReLU, ClampsNegatives) {
   in[1] = 0;
   in[2] = 2;
   in[3] = -3;
+  Workspace ws;
   Tensor out;
-  r.forward(in, out, false);
+  r.forward(in, out, false, ws);
   EXPECT_FLOAT_EQ(out[0], 0.0f);
   EXPECT_FLOAT_EQ(out[1], 0.0f);
   EXPECT_FLOAT_EQ(out[2], 2.0f);
@@ -99,8 +104,9 @@ TEST(Dropout, InferenceIsIdentity) {
   Dropout d(0.5, 1);
   Tensor in({100});
   in.fill(3.0f);
+  Workspace ws;
   Tensor out;
-  d.forward(in, out, /*training=*/false);
+  d.forward(in, out, /*training=*/false, ws);
   for (std::int64_t i = 0; i < in.size(); ++i) EXPECT_FLOAT_EQ(out[i], 3.0f);
 }
 
@@ -108,8 +114,9 @@ TEST(Dropout, TrainingKeepsExpectation) {
   Dropout d(0.3, 2);
   Tensor in({20000});
   in.fill(1.0f);
+  Workspace ws;
   Tensor out;
-  d.forward(in, out, /*training=*/true);
+  d.forward(in, out, /*training=*/true, ws);
   EXPECT_NEAR(out.sum() / static_cast<double>(out.size()), 1.0, 0.05);
   // Dropped elements are exactly zero.
   int zeros = 0;
@@ -123,11 +130,12 @@ TEST(Dropout, BackwardUsesSameMask) {
   Dropout d(0.5, 3);
   Tensor in({1000});
   in.fill(1.0f);
+  Workspace ws;
   Tensor out, gin;
-  d.forward(in, out, true);
+  d.forward(in, out, true, ws);
   Tensor gout({1000});
   gout.fill(1.0f);
-  d.backward(in, out, gout, gin);
+  d.backward(in, out, gout, gin, ws);
   for (std::int64_t i = 0; i < in.size(); ++i)
     EXPECT_FLOAT_EQ(gin[i], out[i]);  // identical keep/scale pattern
 }
@@ -145,8 +153,9 @@ TEST(Dense, KnownValue) {
   Tensor in({1, 2});
   in[0] = 1;
   in[1] = 1;
+  Workspace ws;
   Tensor out;
-  d.forward(in, out, false);
+  d.forward(in, out, false, ws);
   EXPECT_FLOAT_EQ(out[0], 13.0f);
   EXPECT_FLOAT_EQ(out[1], 27.0f);
 }
@@ -243,6 +252,24 @@ TEST(Serialize, RejectsBadMagic) {
   Dense a(2, 2, rng);
   std::stringstream ss("not a model file at all................");
   EXPECT_THROW(load_params(ss, a.params()), std::runtime_error);
+}
+
+TEST(Serialize, RejectsCorruptRankBeforeSizingAnything) {
+  Rng rng(11);
+  Dense a(2, 2, rng);
+  std::stringstream ss;
+  save_params(ss, a.params());
+  std::string bytes = ss.str();
+  // The first param's rank follows the 8-byte magic and the 8-byte count.
+  const std::uint32_t huge = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + 16, &huge, sizeof(huge));
+  std::stringstream corrupt(bytes);
+  try {
+    load_params(corrupt, a.params());
+    ADD_FAILURE() << "corrupt rank loaded";
+  } catch (const DnnspmvError& e) {
+    EXPECT_EQ(e.code(), errc::data_error);
+  }
 }
 
 TEST(Serialize, CopyParamsTransfersValues) {

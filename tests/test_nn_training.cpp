@@ -26,7 +26,8 @@ void make_toy_image(Rng& rng, Tensor& img, std::int32_t label) {
       img.at4(0, 0, y, x) += 0.8f;
 }
 
-double train_toy(Optimizer& opt, MergeNet& net, Rng& rng, int steps) {
+double train_toy(Adam& opt, MergeNet& net, Rng& rng, int steps) {
+  Workspace ws;
   double last_loss = 1e9;
   for (int s = 0; s < steps; ++s) {
     std::vector<Tensor> inputs(1, Tensor({8, 1, 8, 8}));
@@ -39,9 +40,9 @@ double train_toy(Optimizer& opt, MergeNet& net, Rng& rng, int steps) {
       std::copy(one.data(), one.data() + 64, inputs[0].data() + b * 64);
     }
     Tensor logits, grad;
-    net.forward(inputs, logits, true);
+    net.forward(inputs, logits, true, ws);
     last_loss = softmax_cross_entropy(logits, labels, grad);
-    net.backward(inputs, grad);
+    net.backward(inputs, grad, ws);
     opt.step();
   }
   return last_loss;
@@ -66,14 +67,6 @@ TEST(Training, AdamFitsToyProblem) {
   Adam opt(net.params(), 3e-3);
   const double loss = train_toy(opt, net, rng, 120);
   EXPECT_LT(loss, 0.1);
-}
-
-TEST(Training, SgdMomentumFitsToyProblem) {
-  Rng rng(43);
-  MergeNet net = make_small_net(rng);
-  SgdMomentum opt(net.params(), 0.05, 0.9);
-  const double loss = train_toy(opt, net, rng, 200);
-  EXPECT_LT(loss, 0.2);
 }
 
 TEST(Training, LossDecreasesOverall) {
@@ -125,12 +118,13 @@ TEST(Training, FrozenTowersSkipTheirBackwardPass) {
   std::vector<Tensor> inputs(1, Tensor({2, 1, 8, 8}));
   inputs[0].fill_uniform(rng, 0.0f, 1.0f);
   const std::vector<std::int32_t> labels = {0, 1};
+  Workspace ws;
   const auto grads_after_step = [&](Sequential& seq) {
     for (Param* p : net.params()) p->grad.zero();
     Tensor logits, grad;
-    net.forward(inputs, logits, /*training=*/true);
+    net.forward(inputs, logits, /*training=*/true, ws);
     softmax_cross_entropy(logits, labels, grad);
-    net.backward(inputs, grad);
+    net.backward(inputs, grad, ws);
     double sum = 0.0;
     for (Param* p : seq.params())
       for (std::int64_t i = 0; i < p->grad.size(); ++i)
@@ -161,6 +155,7 @@ TEST(Training, TwoTowerNetLearnsCrossSourceRule) {
   net.head().emplace<Dense>(8, 2, rng);
   Adam opt(net.params(), 3e-3);
 
+  Workspace ws;
   double last = 1e9;
   for (int s = 0; s < 400; ++s) {
     std::vector<Tensor> inputs(2, Tensor({8, 1, 8, 8}));
@@ -176,9 +171,9 @@ TEST(Training, TwoTowerNetLearnsCrossSourceRule) {
       }
     }
     Tensor logits, grad;
-    net.forward(inputs, logits, true);
+    net.forward(inputs, logits, true, ws);
     last = softmax_cross_entropy(logits, labels, grad);
-    net.backward(inputs, grad);
+    net.backward(inputs, grad, ws);
     opt.step();
   }
   EXPECT_LT(last, 0.15);
@@ -191,15 +186,6 @@ TEST(Optimizer, AdamStepZeroesGradients) {
   d.params()[0]->grad.fill(1.0f);
   opt.step();
   EXPECT_FLOAT_EQ(d.params()[0]->grad.max_abs(), 0.0f);
-}
-
-TEST(Optimizer, SgdWeightDecayShrinksWeights) {
-  Rng rng(49);
-  Dense d(4, 4, rng);
-  const float before = d.params()[0]->value.max_abs();
-  SgdMomentum opt(d.params(), 0.1, 0.0, /*weight_decay=*/0.5);
-  for (int i = 0; i < 20; ++i) opt.step();  // zero grads, decay only
-  EXPECT_LT(d.params()[0]->value.max_abs(), before);
 }
 
 }  // namespace

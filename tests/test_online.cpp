@@ -13,11 +13,11 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/feedback.hpp"
 #include "core/model_registry.hpp"
 #include "gen/corpus.hpp"
 #include "perf/labels.hpp"
 #include "perf/platform.hpp"
-#include "serve/feedback.hpp"
 #include "serve/service.hpp"
 
 namespace dnnspmv {

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -414,6 +415,34 @@ TEST(QuantCalib, CloneCarriesTheQuantizedPath) {
   }
 }
 
+TEST(SelectorConcurrency, ThreadsSharingOneSelectorPickAsSerial) {
+  // Callers that pass no workspace share the selector's own under its
+  // inference lock, fp32 and int8 alike; four threads, each starting at
+  // its own offset into the corpus, must pick what one thread picks.
+  auto& p = qpipeline();
+  constexpr std::size_t kThreads = 4;
+  const std::size_t n = p.corpus.size();
+  for (const FormatSelector* sel : {&p.fp32, &p.quant}) {
+    std::vector<std::int32_t> serial;
+    for (const CorpusEntry& e : p.corpus)
+      serial.push_back(sel->predict_index(e.matrix));
+    std::vector<std::vector<std::int32_t>> picks(
+        kThreads, std::vector<std::int32_t>(n, -1));
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        for (std::size_t k = 0; k < n; ++k) {
+          const std::size_t i = (k + t * n / kThreads) % n;
+          picks[t][i] = sel->predict_index(p.corpus[i].matrix);
+        }
+      });
+    for (std::thread& th : threads) th.join();
+    for (std::size_t t = 0; t < kThreads; ++t)
+      EXPECT_EQ(picks[t], serial)
+          << (sel->quantized() ? "int8" : "fp32") << " thread " << t;
+  }
+}
+
 // ---------------------------------------------------------- serialization
 
 TEST(QuantSerialize, QuantizedRoundTripPredictsIdentically) {
@@ -476,6 +505,47 @@ TEST(QuantSerialize, LegacyFilesAreRejected) {
     std::memcpy(stamped.data() + 4, &version, sizeof(version));
     expect_rejected(stamped, ("v" + std::to_string(version)).c_str());
   }
+  std::remove(path.c_str());
+}
+
+TEST(QuantSerialize, OutOfRangeModeAndFormatIdsAreRejected) {
+  auto& p = qpipeline();
+  // With as many bins as rows, every two-source mode builds the same net,
+  // so only the range check can refuse a corrupt mode.
+  SelectorOptions opts = p.fp32.options();
+  opts.rep_bins = opts.rep_rows;
+  opts.train.epochs = 1;
+  FormatSelector square(opts);
+  square.fit(p.labeled, p.plat->formats());
+  const std::string path = "test_quant_ws_enums.bin";
+  square.save(path);
+  std::string bytes;
+  {
+    std::ifstream is(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is),
+                 std::istreambuf_iterator<char>());
+  }
+  const auto expect_rejected = [&](std::size_t offset, std::int32_t value,
+                                   const char* what) {
+    std::string corrupt = bytes;
+    std::memcpy(corrupt.data() + offset, &value, sizeof(value));
+    {
+      std::ofstream os(path, std::ios::binary);
+      os.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+    }
+    try {
+      (void)FormatSelector::load(path);
+      ADD_FAILURE() << what << " loaded";
+    } catch (const DnnspmvError& e) {
+      EXPECT_EQ(e.code(), errc::data_error) << what;
+    }
+  };
+  // The mode follows the 16-byte header; the candidate ids follow the
+  // 64 bytes of header and options.
+  expect_rejected(16, 7, "mode 7");
+  expect_rejected(16, -1, "mode -1");
+  expect_rejected(64, kNumFormats, "format id kNumFormats");
+  expect_rejected(64, -3, "format id -3");
   std::remove(path.c_str());
 }
 

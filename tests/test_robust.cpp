@@ -130,7 +130,6 @@ TEST(RequestQueueTryPush, ReportsFullAndClosedWithoutConsuming) {
 TEST(Fallback, RuleTierAlwaysReturnsValidCandidateIndex) {
   auto& p = pipeline();
   const FallbackSelector fb(p.selector.candidates());
-  EXPECT_FALSE(fb.has_tree());
   for (const CorpusEntry& e : p.corpus) {
     const std::int32_t idx = fb.predict_index(compute_stats(e.matrix));
     ASSERT_GE(idx, 0);
@@ -152,23 +151,6 @@ TEST(Fallback, RuleTierRecognizesCanonicalStructures) {
   EXPECT_EQ(fb.predict_index(compute_stats(banded)),
             p.selector.candidate_index(Format::kDia));
   EXPECT_EQ(p.selector.candidate_index(static_cast<Format>(99)), -1);
-}
-
-TEST(Fallback, TrainedTreeAnswersFromStatsFeatures) {
-  auto& p = pipeline();
-  const FallbackSelector fb =
-      FallbackSelector::train(p.labeled, p.selector.candidates());
-  EXPECT_TRUE(fb.has_tree());
-  int agree = 0;
-  for (const LabeledMatrix& lm : p.labeled) {
-    const std::int32_t idx = fb.predict_index(compute_stats(*lm.matrix));
-    ASSERT_GE(idx, 0);
-    ASSERT_LT(idx, static_cast<std::int32_t>(p.selector.candidates().size()));
-    if (idx == lm.label) ++agree;
-  }
-  // A depth-12 CART tree fits its own training set far better than chance.
-  EXPECT_GE(static_cast<double>(agree) / static_cast<double>(p.labeled.size()),
-            0.6);
 }
 
 TEST(Deadline, CacheHitAnswersEvenWhenAlreadyExpired) {

@@ -255,16 +255,18 @@ void expect_overwrites(Make make, const Tensor& in, bool training,
                        const std::string& what) {
   Rng rng(66);
   std::unique_ptr<Layer> fresh_layer = make();
+  Workspace fresh_ws;
   Tensor out, grad_in;
-  fresh_layer->forward(in, out, training);
+  fresh_layer->forward(in, out, training, fresh_ws);
   const Tensor grad_out = random_tensor(out.shape(), rng);
-  fresh_layer->backward(in, out, grad_out, grad_in);
+  fresh_layer->backward(in, out, grad_out, grad_in, fresh_ws);
 
   std::unique_ptr<Layer> stale_layer = make();
+  Workspace stale_ws;
   Tensor stale_out = stale_tensor(out.size());
   Tensor stale_grad_in = stale_tensor(grad_in.size());
-  stale_layer->forward(in, stale_out, training);
-  stale_layer->backward(in, stale_out, grad_out, stale_grad_in);
+  stale_layer->forward(in, stale_out, training, stale_ws);
+  stale_layer->backward(in, stale_out, grad_out, stale_grad_in, stale_ws);
   EXPECT_TRUE(same_bits(out, stale_out)) << what;
   EXPECT_TRUE(same_bits(grad_in, stale_grad_in)) << what;
 }
@@ -385,9 +387,10 @@ TEST(TrainBitExact, ReluBackwardMatchesScalarReference) {
       for (std::int64_t i = 0; i < n; ++i)
         ref[i] = in[i] > 0.0f ? go[i] : 0.0f;
       ReLU relu;
+      Workspace ws;
       Tensor out, gi;
-      relu.forward(in, out, /*training=*/true);
-      relu.backward(in, out, go, gi);
+      relu.forward(in, out, /*training=*/true, ws);
+      relu.backward(in, out, go, gi, ws);
       EXPECT_TRUE(same_bits(gi, ref)) << "n " << n << " shift " << shift;
     }
   }
@@ -443,10 +446,11 @@ TEST(TrainBitExact, MaxPoolFastPathMatchesGenericReference) {
     // One plane that is entirely below the start value.
     for (std::int64_t i = 0; i < shape[2] * shape[3]; ++i) in[i] = -inf;
     MaxPool2D mp(2);
+    Workspace ws;
     Tensor out, gin;
-    mp.forward(in, out, /*training=*/true);
+    mp.forward(in, out, /*training=*/true, ws);
     const Tensor grad_out = random_tensor(out.shape(), rng);
-    mp.backward(in, out, grad_out, gin);
+    mp.backward(in, out, grad_out, gin, ws);
     Tensor ref_out, ref_gin;
     reference_pool(in, ref_out, ref_gin, grad_out);
     EXPECT_TRUE(same_bits(out, ref_out)) << "H " << shape[2] << " W "
